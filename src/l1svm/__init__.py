@@ -11,8 +11,7 @@ from .model import (ConstraintSet, RngSeed, SparseClassifier, TrainingSet, as_ge
                     generate_training_set, hinge_objective, load_classifier,
                     load_training_set, make_paper_classifier, make_random_classifier,
                     save_classifier, save_training_set)
-from .geometry import (ProjectionError, ProjectionResult, max_linear_l1_l2, project_l1,
-                       project_l1_l2, project_l2)
+from .geometry import ProjectionResult, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
 from .solvers import (RecoveryError, SolverConfig, SolverResult, recovery_error,
                       solve_l1_l2_svm, solve_l1_svm, solve_one_bit_cs)
 from .theory import (BoundReport, ConcentrationBound, HypothesisWarning, OverlapCoords,
@@ -32,7 +31,7 @@ __all__ = [
     "make_paper_classifier", "make_random_classifier", "generate_training_set",
     "hinge_objective", "save_training_set", "load_training_set", "save_classifier",
     "load_classifier",
-    "ProjectionResult", "ProjectionError", "project_l1", "project_l2", "project_l1_l2",
+    "ProjectionResult", "project_l1", "project_l2", "project_l1_l2",
     "max_linear_l1_l2",
     "SolverConfig", "SolverResult", "RecoveryError", "solve_l1_svm", "solve_l1_l2_svm",
     "solve_one_bit_cs", "recovery_error",

@@ -1,9 +1,12 @@
 """Euclidean projections and linear maximization over norm-ball constraint sets.
 
 Two feasible sets appear throughout: the l1 ball {||w||_1 <= R} and its
-intersection with the unit l2 ball.  Both projections reduce to sort-based
-soft thresholding; the intersection additionally needs Dykstra's corrected
-alternating scheme when neither single-ball projection is already feasible.
+intersection with the unit l2 ball.  Every routine here is a soft
+thresholding of its input.  The l1 ball's level comes from a sorted scan.
+Where both constraints of the intersection are tight, the projection and the
+linear maximizer share one exact O(d log d) kernel: on sorted magnitudes the
+level with l1/l2 ratio R lies on the interval found by a cumulative-sum scan
+over the breakpoints, and there it is the root of one quadratic.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ProjectionResult",
-    "ProjectionError",
     "project_l1",
     "project_l2",
     "project_l1_l2",
@@ -27,15 +29,6 @@ class ProjectionResult:
     point: np.ndarray
     active: str  # which constraints are tight: "l1", "l2", "both" or "none"
     threshold: float  # soft-threshold value used (0 when no thresholding happened)
-
-
-class ProjectionError(RuntimeError):
-    """Dykstra failed to converge; carries the last iterate and its gap."""
-
-    def __init__(self, message, iterate=None, gap=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.gap = gap
 
 
 def project_l1(v, R: float) -> ProjectionResult:
@@ -78,14 +71,51 @@ def _tight_label(w, R: float) -> str:
     return "none"
 
 
-def project_l1_l2(v, R: float, tol: float = 1e-10, max_rounds: int = 10_000) -> ProjectionResult:
+def _ratio_level(mags, R: float) -> float:
+    """Level theta at which the soft-thresholded magnitudes (mags - theta)_+ have l1/l2 ratio R.
+
+    The ratio is nonincreasing in theta, so at the breakpoints theta = u_{k+1}
+    of the sorted magnitudes u it grows with the active count k; the first k
+    whose ratio reaches R holds the level.  With the k largest entries active
+    the ratio condition is one quadratic in theta, whose smaller root is
+    mean - R sd / sqrt(k - R^2) over those entries.  Where they are all tied
+    the ratio is sqrt(k) = R on the whole interval and its left end is taken.
+    Past the last breakpoint every entry stays active, so theta may fall below
+    0 there.  Needs sqrt(#entries tied at the top) <= R < sqrt(#entries).
+    """
+    u = np.sort(mags)[::-1]
+    d = u.size
+    k_idx = np.arange(1, d + 1)
+    below = np.append(u[1:], 0.0)  # breakpoint theta = u_{k+1} for each active count k
+    a1 = np.cumsum(u)
+    l1 = a1 - k_idx * below
+    l2sq = np.cumsum(u * u) - below * (2.0 * a1 - k_idx * below)
+    k_top = int(np.count_nonzero(u == u[0]))
+    reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
+    reach[-1] = True  # the all-active interval runs on below 0
+    k = k_top + int(np.argmax(reach))
+    if k == k_top or k <= R * R:
+        return float(below[k - 1])
+    top = u[:k]
+    theta = float(top.mean() - R * top.std() / np.sqrt(k - R * R))
+    if k < d:
+        theta = max(theta, float(u[k]))
+    return min(theta, float(u[k - 1]))
+
+
+def _normalized_soft(v, theta: float) -> np.ndarray:
+    w = np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+    return w / np.linalg.norm(w)
+
+
+def project_l1_l2(v, R: float) -> ProjectionResult:
     """Nearest point of {||w||_1 <= R} intersected with the unit l2 ball.
 
     If projecting onto one ball alone already lands inside the other, that
     point is the exact answer (it minimizes distance over a superset of the
-    intersection while lying in it).  Otherwise run Dykstra's alternating
-    projections, whose correction terms make the iterates converge to the
-    true projection rather than just any feasible point.
+    intersection while lying in it).  Otherwise both constraints are tight and
+    the KKT conditions make the answer the soft thresholding of v, rescaled to
+    unit l2 norm, at the level where its l1/l2 ratio is R.
     """
     v = np.asarray(v, dtype=float)
     if not R > 0:
@@ -97,68 +127,29 @@ def project_l1_l2(v, R: float, tol: float = 1e-10, max_rounds: int = 10_000) -> 
     ball = project_l2(v)
     if np.abs(ball).sum() <= R + 1e-15:
         return ProjectionResult(point=ball, active=_tight_label(ball, R), threshold=0.0)
-
-    x = v.copy()
-    p = np.zeros_like(v)
-    q = np.zeros_like(v)
-    theta = 0.0
-    gap = np.inf
-    for _ in range(max_rounds):
-        step = project_l1(x + p, R)
-        theta = step.threshold
-        p_new = x + p - step.point
-        x_next = project_l2(step.point + q)
-        q_new = step.point + q - x_next
-        # the iterate can repeat while the corrections still move, so the
-        # convergence measure must be the change in the corrections
-        gap = float(np.sqrt(((p_new - p) ** 2).sum() + ((q_new - q) ** 2).sum()))
-        x, p, q = x_next, p_new, q_new
-        if gap < tol:
-            return ProjectionResult(point=x, active=_tight_label(x, R), threshold=theta)
-    raise ProjectionError(
-        f"no convergence after {max_rounds} rounds (gap {gap:.3e})", iterate=x, gap=gap
-    )
+    theta = _ratio_level(np.abs(v), R)
+    return ProjectionResult(point=_normalized_soft(v, theta), active="both", threshold=theta)
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:
     """Unit-norm weights for k magnitude-tied leaders, ||.||_1/||.||_2 = R < sqrt(k).
 
     In the limit of strictly sorted perturbations the weights are (p_j - x)_+
-    with priorities p = (k, k-1, ..., 1).  With every weight active the ratio
-    condition has the closed form below; otherwise trailing entries drop out
-    and x is found by bisection.
+    with priorities p = (k, k-1, ..., 1), at the level x where their ratio is R.
     """
-    p = np.arange(k, 0, -1, dtype=float)
     if R * R >= k:
         return np.full(k, 1.0 / np.sqrt(k))
-    var = (k * k - 1.0) / 12.0
-    mean_w = np.sqrt(R * R * var / (k - R * R))
-    x = (k + 1.0) / 2.0 - mean_w
-    if x <= 1.0:
-        q = p - x
-    else:
-        lo, hi = 1.0, k - 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            q = np.maximum(p - mid, 0.0)
-            if q.sum() > R * np.linalg.norm(q):
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * k:
-                break
-        q = np.maximum(p - hi, 0.0)
-    return q / np.linalg.norm(q)
+    p = np.arange(k, 0, -1, dtype=float)
+    return _normalized_soft(p, _ratio_level(p, R))
 
 
 def max_linear_l1_l2(g, R: float) -> np.ndarray:
     """Maximizer of <g, w> over {||w||_1 <= R, ||w||_2 <= 1}.
 
     The maximizer is a normalized soft thresholding of g: w ~ sign(g)(|g|-theta)_+
-    with theta = 0 when g's l1/l2 ratio already fits inside R, else the unique
-    theta making the ratio R, found by bisection (the ratio is continuous and
-    decreasing in theta).  Ties at the top magnitude are broken toward earlier
-    indices, the limit of strictly sorted perturbations.
+    with theta = 0 when g's l1/l2 ratio already fits inside R, else the
+    unique theta making the ratio R.  Ties at the top magnitude are broken
+    toward earlier indices, the limit of strictly sorted perturbations.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
@@ -179,20 +170,4 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
         ties = np.flatnonzero(mags == top)
         w[ties] = np.sign(g[ties]) * _tie_direction(k_top, R)
         return w
-    lo, hi = 0.0, top
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        q = np.maximum(mags - mid, 0.0)
-        qnorm = np.linalg.norm(q)
-        if qnorm == 0.0:
-            hi = mid
-            continue
-        if q.sum() > R * qnorm:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, top):
-            break
-    # hi side keeps the ratio <= R, so the normalized point is feasible
-    w = np.sign(g) * np.maximum(mags - hi, 0.0)
-    return w / np.linalg.norm(w)
+    return _normalized_soft(g, _ratio_level(mags, R))

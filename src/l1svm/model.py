@@ -235,10 +235,12 @@ def load_training_set(path) -> TrainingSet:
     """Read a training CSV.  The scale is already folded into X, so r is 1."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
-        if header[:2] != ["i", "y"]:
+        header = next(rd, None)
+        if header is not None and header[:2] != ["i", "y"]:
             raise ValueError("not a training-set CSV")
         rows = list(rd)
+    if not rows:
+        raise ValueError("empty training CSV")
     y = np.array([float(row[1]) for row in rows])
     X = np.array([[float(v) for v in row[2:]] for row in rows])
     return TrainingSet(X=X, y=y, r=1.0)
@@ -262,5 +264,8 @@ def load_classifier(path, d: int) -> np.ndarray:
             raise ValueError("not a classifier CSV")
         a = np.zeros(d)
         for row in rd:
-            a[int(row[0]) - 1] = float(row[1])
+            j = int(row[0])
+            if not 1 <= j <= d:
+                raise ValueError(f"classifier index j = {j} is outside 1..d for d = {d}")
+            a[j - 1] = float(row[1])
     return a

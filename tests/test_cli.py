@@ -86,6 +86,15 @@ class TestSolve:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("text", ["", "i,y,x_1,x_2\n"])
+    def test_empty_training_csv_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, _, err = run(["solve", "--method", "l1", "--data", str(path), "--R", "1.4"], capsys)
+        assert code == 2
+        assert err.strip() == "error: empty training CSV"
+
+
 class TestSweepCommand:
     def test_tiny_r_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

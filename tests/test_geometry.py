@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l1svm import ProjectionError, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+from l1svm import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+from l1svm.geometry import _ratio_level
 from l1svm.oracles import angle_max_linear, grid_project
 
 
@@ -111,11 +112,16 @@ class TestProjectL1L2:
                             project_l2(v), atol=1e-9)
 
     def test_nonconvergence_carries_state(self):
-        # (3, 1.5) at R=1.2 defeats both single-ball shortcuts
-        with pytest.raises(ProjectionError) as info:
-            project_l1_l2(np.array([3.0, 1.5]), 1.2, max_rounds=1)
-        assert info.value.iterate is not None
-        assert info.value.gap > 0
+        # (3, 1.5) at R=1.2 defeats both single-ball shortcuts, so both
+        # constraints are tight and the exact kernel must land on them
+        v = np.array([3.0, 1.5])
+        res = project_l1_l2(v, 1.2)
+        assert res.active == "both"
+        assert abs(np.abs(res.point).sum() - 1.2) <= 1e-12 * 1.2
+        assert abs(np.linalg.norm(res.point) - 1.0) <= 1e-12
+        ref = grid_project(v, 1.2, kind="l1l2")
+        assert np.linalg.norm(res.point - ref) < 2e-3
+        assert abs(((res.point - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
 
     def test_dykstra_path_matches_oracle(self):
         w = project_l1_l2(np.array([3.0, 1.5]), 1.2).point
@@ -123,6 +129,157 @@ class TestProjectL1L2:
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(np.abs(w).sum() - 1.2) < 1e-8  # both constraints tight here
         assert abs(np.linalg.norm(w) - 1.0) < 1e-8
+
+
+def _dykstra(v, R, tol=1e-13, max_rounds=200_000):
+    """Reference projection onto the intersection by Dykstra's alternating scheme."""
+    x, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
+    for _ in range(max_rounds):
+        y = project_l1(x + p, R).point
+        p_new = x + p - y
+        x_new = project_l2(y + q)
+        q_new = y + q - x_new
+        gap = np.sqrt(((p_new - p) ** 2).sum() + ((q_new - q) ** 2).sum())
+        x, p, q = x_new, p_new, q_new
+        if gap < tol:
+            return x
+    raise AssertionError(f"reference Dykstra loop did not converge (gap {gap:.2e})")
+
+
+def _soft_threshold_certificate(v, w):
+    """Fit |v_j| = theta + mu |w_j| on the support of w; return theta, mu, misfit, max off it."""
+    on = w != 0.0
+    assert np.all(np.sign(w[on]) == np.sign(v[on]))
+    A = np.column_stack([np.ones(on.sum()), np.abs(w[on])])
+    off_max = float(np.abs(v[~on]).max()) if (~on).any() else 0.0
+    if np.ptp(np.abs(w[on])) > 0.0:
+        (theta, mu), *_ = np.linalg.lstsq(A, np.abs(v[on]), rcond=None)
+    else:  # equal weights leave theta free; take the least level the off-support entries allow
+        theta = off_max
+        mu = (np.abs(v[on]).max() - theta) / np.abs(w[on]).max()
+    misfit = float(np.abs(A @ [theta, mu] - np.abs(v[on])).max())
+    return float(theta), float(mu), misfit, off_max
+
+
+def _random_case(rng):
+    d = int(rng.integers(2, 2001))
+    R = float(rng.uniform(1.0, min(np.sqrt(d), 30.0)))
+    v = rng.standard_normal(d) * float(rng.uniform(0.2, 10.0))
+    if rng.random() < 0.3:
+        v[rng.random(d) < 0.5] = 0.0
+    return v, R
+
+
+class TestExactKernel:
+    """Exact optimality of the sort-and-scan kernel where both constraints are tight."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_projection_kkt_certificate(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        both = 0
+        for _ in range(40):
+            v, R = _random_case(rng)
+            res = project_l1_l2(v, R)
+            if res.active != "both":
+                continue
+            both += 1
+            w = res.point
+            assert abs(np.abs(w).sum() - R) <= 1e-12 * R
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+            theta, mu, misfit, off_max = _soft_threshold_certificate(v, w)
+            scale = np.abs(v).max()
+            assert misfit <= 1e-10 * scale
+            assert theta >= -1e-12 * scale
+            assert mu >= 1.0 - 1e-12
+            assert off_max <= theta + 1e-10 * scale
+        assert both >= 20
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_projection_matches_dykstra(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        for _ in range(15):
+            v, R = _random_case(rng)
+            w = project_l1_l2(v, R).point
+            assert np.linalg.norm(w - _dykstra(v, R)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_maximizer_lands_on_the_l1_sphere(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(40):
+            g, R = _random_case(rng)
+            w = max_linear_l1_l2(g, R)
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+            if np.abs(g).sum() > R * np.linalg.norm(g):
+                assert abs(np.abs(w).sum() - R) <= 1e-12 * R
+                theta, mu, misfit, off_max = _soft_threshold_certificate(g, w)
+                assert misfit <= 1e-10 * np.abs(g).max()
+                assert mu > 0.0
+                assert off_max <= theta + 1e-10 * np.abs(g).max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_level_gives_ratio_R(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        for _ in range(30):
+            u, R = _random_case(rng)
+            u = np.abs(u)
+            if not u.any():
+                continue
+            theta = _ratio_level(u, R)
+            q = np.maximum(u - theta, 0.0)
+            assert abs(q.sum() - R * np.linalg.norm(q)) <= 1e-12 * q.sum()
+
+    def test_R_squared_equals_active_count(self):
+        # four tied leaders at R = 2: k - R^2 = 0 on the interval the scan picks
+        u = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
+        with np.errstate(all="raise"):
+            theta = _ratio_level(u, 2.0)
+            w = max_linear_l1_l2(u, 2.0)
+            res = project_l1_l2(2.0 * u, 2.0)
+        assert 0.5 <= theta < 1.0
+        assert_allclose(w, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
+        assert_allclose(res.point, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
+
+    def test_tied_top_magnitudes(self):
+        with np.errstate(all="raise"):
+            res = project_l1_l2(np.array([2.0, 2.0, 2.0]), 1.5)
+            assert_allclose(res.point, [0.5, 0.5, 0.5], atol=1e-15)
+            # two tied leaders below a third entry reach the kernel
+            v = np.array([3.0, 3.0, 1.0])
+            res = project_l1_l2(v, 1.6)
+            assert res.active == "both"
+            assert res.point[0] == res.point[1]
+            assert abs(np.abs(res.point).sum() - 1.6) <= 1e-12 * 1.6
+            assert np.linalg.norm(res.point - _dykstra(v, 1.6)) <= 1e-9
+            assert _ratio_level(np.array([2.0, 2.0, 2.0]), np.sqrt(3.0)) == 0.0
+
+    def test_unit_radius(self):
+        rng = np.random.default_rng(900)
+        with np.errstate(all="raise"):
+            for _ in range(10):
+                v = rng.standard_normal(50) * 3.0
+                assert_allclose(project_l1_l2(v, 1.0).point, project_l1(v, 1.0).point,
+                                atol=1e-15)
+                j = np.argmax(np.abs(v))
+                w = max_linear_l1_l2(v, 1.0)
+                assert w[j] == np.sign(v[j]) and np.count_nonzero(w) == 1
+
+    def test_single_nonzero_entry(self):
+        v = np.array([0.0, 0.0, -5.0, 0.0])
+        with np.errstate(all="raise"):
+            assert_allclose(project_l1_l2(v, 1.5).point, [0.0, 0.0, -1.0, 0.0], atol=1e-15)
+            assert_allclose(max_linear_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
+            theta = _ratio_level(np.abs(v), 1.5)
+        assert np.isfinite(theta)
+        assert_allclose(np.sign(v) * np.maximum(np.abs(v) - theta, 0.0), [0, 0, -5.0 + theta, 0])
+
+    @pytest.mark.parametrize("d", [2, 7, 1000])
+    def test_all_equal_vector_at_sqrt_d(self, d):
+        v = np.full(d, 2.0)
+        R = float(np.sqrt(d))
+        with np.errstate(all="raise"):
+            assert_allclose(project_l1_l2(v, R).point, np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
+            assert_allclose(max_linear_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
+            assert _ratio_level(v, R) == 0.0
 
 
 class TestMaxLinear:

@@ -173,3 +173,19 @@ def test_rng_seed_streams_are_independent():
     g0 = L.RngSeed(42, 0).generator().standard_normal(8)
     g1 = L.RngSeed(42, 1).generator().standard_normal(8)
     assert not np.allclose(g0, g1)
+
+
+@pytest.mark.parametrize("text", ["", "i,y,x_1,x_2\n"])
+def test_training_set_csv_empty_rejected(tmp_path, text):
+    path = tmp_path / "train.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="empty training CSV"):
+        L.load_training_set(path)
+
+
+@pytest.mark.parametrize("j", [0, -1, 6])
+def test_classifier_csv_index_out_of_range(tmp_path, j):
+    path = tmp_path / "cls.csv"
+    path.write_text(f"j,a_j\n1,0.6\n{j},0.8\n")
+    with pytest.raises(ValueError, match=rf"j = {j} .*d = 5"):
+        L.load_classifier(path, 5)
