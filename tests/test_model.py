@@ -189,3 +189,26 @@ def test_classifier_csv_index_out_of_range(tmp_path, j):
     path.write_text(f"j,a_j\n1,0.6\n{j},0.8\n")
     with pytest.raises(ValueError, match=rf"j = {j} .*d = 5"):
         L.load_classifier(path, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_training_set_rejects_non_finite(bad):
+    X = np.ones((3, 4))
+    X[1, 2] = bad
+    X[2, 0] = bad  # only the first bad cell, in row-major order, is named
+    with pytest.raises(ValueError, match=r"non-finite .* row 2, column x_3$"):
+        L.TrainingSet(X=X, y=np.ones(3), r=1.0)
+
+
+def test_training_set_csv_ragged_rejected(tmp_path):
+    path = tmp_path / "train.csv"
+    path.write_text("i,y,x_1,x_2\n1,1,0.5,0.2\n2,-1,0.1\n")
+    with pytest.raises(ValueError, match="data row 2 has 3 columns, expected 4"):
+        L.load_training_set(path)
+
+
+def test_classifier_csv_empty_rejected(tmp_path):
+    path = tmp_path / "cls.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty classifier CSV"):
+        L.load_classifier(path, 5)
