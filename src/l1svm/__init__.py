@@ -8,9 +8,9 @@ both in a seeded sweep harness with CSV output.
 """
 
 from .model import (ConstraintSet, RngSeed, SparseClassifier, TrainingSet, as_generator,
-                    generate_training_set, hinge_objective, load_classifier,
-                    load_training_set, make_paper_classifier, make_random_classifier,
-                    save_classifier, save_training_set)
+                    benchmark_classifier, generate_training_set, hinge_objective,
+                    load_classifier, load_training_set, make_paper_classifier,
+                    make_random_classifier, save_classifier, save_training_set)
 from .geometry import ProjectionResult, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
 from .solvers import (RecoveryError, SolverConfig, SolverResult, recovery_error,
                       solve_l1_l2_svm, solve_l1_svm, solve_one_bit_cs)
@@ -19,18 +19,17 @@ from .theory import (BoundReport, ConcentrationBound, HypothesisWarning, Overlap
                      hinge_gaussian_integral, monte_carlo_fa, proof_constant_057,
                      thm1_bound, thm2_lower_bound, thm3_error_bound, thm3_failure_prob,
                      thm3_sample_size, thm8_bound, write_bound_reports)
-from .sweeps import (METHODS, SweepRow, SweepSpec, benchmark_classifier,
-                     default_d_sweep_spec, default_m_sweep_spec, default_r_sweep_spec,
-                     emit_bound_overlay, enumerate_sweep_points, run_d_sweep, run_m_sweep,
-                     run_r_sweep, run_sweep, write_sweep_rows)
+from .sweeps import (METHODS, SweepRow, SweepSpec, default_d_sweep_spec, default_m_sweep_spec,
+                     default_r_sweep_spec, emit_bound_overlay, enumerate_sweep_points,
+                     run_d_sweep, run_m_sweep, run_r_sweep, run_sweep, write_sweep_rows)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RngSeed", "SparseClassifier", "TrainingSet", "ConstraintSet", "as_generator",
-    "make_paper_classifier", "make_random_classifier", "generate_training_set",
-    "hinge_objective", "save_training_set", "load_training_set", "save_classifier",
-    "load_classifier",
+    "make_paper_classifier", "benchmark_classifier", "make_random_classifier",
+    "generate_training_set", "hinge_objective", "save_training_set", "load_training_set",
+    "save_classifier", "load_classifier",
     "ProjectionResult", "project_l1", "project_l2", "project_l1_l2",
     "max_linear_l1_l2",
     "SolverConfig", "SolverResult", "RecoveryError", "solve_l1_svm", "solve_l1_l2_svm",
@@ -40,7 +39,7 @@ __all__ = [
     "proof_constant_057", "thm1_bound", "thm3_sample_size", "thm3_error_bound",
     "thm3_failure_prob", "thm8_bound", "monte_carlo_fa", "gaussian_max_norm_bounds",
     "bound_report", "write_bound_reports",
-    "METHODS", "SweepSpec", "SweepRow", "benchmark_classifier", "default_r_sweep_spec",
+    "METHODS", "SweepSpec", "SweepRow", "default_r_sweep_spec",
     "default_m_sweep_spec", "default_d_sweep_spec", "run_r_sweep", "run_m_sweep",
     "run_d_sweep", "run_sweep", "enumerate_sweep_points", "emit_bound_overlay",
     "write_sweep_rows",

@@ -126,16 +126,9 @@ def _parse_grid(text: str, kind: str):
 
 def _cmd_sweep(args) -> int:
     builders = {"r": default_r_sweep_spec, "m": default_m_sweep_spec, "d": default_d_sweep_spec}
-    default_trials = {"r": 20, "m": 40, "d": 60}
-    fixed = {}
-    if args.d is not None:
-        fixed["d"] = args.d
-    if args.r is not None:
-        fixed["r"] = args.r
-    if args.max_iters is not None:
-        fixed["max_iters"] = args.max_iters
-    trials = args.trials if args.trials is not None else default_trials[args.kind]
-    spec = builders[args.kind](trials=trials, seed=RngSeed(args.seed), **fixed)
+    given = {"trials": args.trials, "d": args.d, "r": args.r, "max_iters": args.max_iters}
+    spec = builders[args.kind](seed=RngSeed(args.seed),
+                               **{k: v for k, v in given.items() if v is not None})
     if args.grid:
         spec = dataclasses.replace(spec, grid=_parse_grid(args.grid, args.kind))
     if args.methods:

@@ -27,7 +27,6 @@ __all__ = [
 @dataclass(frozen=True)
 class ProjectionResult:
     point: np.ndarray
-    active: str  # which constraints are tight: "l1", "l2", "both" or "none"
     threshold: float  # soft-threshold value used (0 when no thresholding happened)
 
 
@@ -39,15 +38,14 @@ def project_l1(v, R: float) -> ProjectionResult:
     mags = np.abs(v)
     total = mags.sum()
     if total <= R:
-        active = "l1" if abs(total - R) <= 1e-12 * max(1.0, R) else "none"
-        return ProjectionResult(point=v.copy(), active=active, threshold=0.0)
+        return ProjectionResult(point=v.copy(), threshold=0.0)
     u = np.sort(mags)[::-1]
     cs = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
     rho = idx[u > (cs - R) / idx][-1]
     theta = (cs[rho - 1] - R) / rho
     w = np.sign(v) * np.maximum(mags - theta, 0.0)
-    return ProjectionResult(point=w, active="l1", threshold=float(theta))
+    return ProjectionResult(point=w, threshold=float(theta))
 
 
 def project_l2(v, radius: float = 1.0) -> np.ndarray:
@@ -57,18 +55,6 @@ def project_l2(v, radius: float = 1.0) -> np.ndarray:
         raise ValueError("radius must be positive")
     n = np.linalg.norm(v)
     return v.copy() if n <= radius else v * (radius / n)
-
-
-def _tight_label(w, R: float) -> str:
-    l1_tight = abs(np.abs(w).sum() - R) <= 1e-8 * max(1.0, R)
-    l2_tight = abs(np.linalg.norm(w) - 1.0) <= 1e-8
-    if l1_tight and l2_tight:
-        return "both"
-    if l1_tight:
-        return "l1"
-    if l2_tight:
-        return "l2"
-    return "none"
 
 
 def _ratio_level(mags, R: float) -> float:
@@ -122,13 +108,12 @@ def project_l1_l2(v, R: float) -> ProjectionResult:
         raise ValueError("radius must be positive")
     cand = project_l1(v, R)
     if np.linalg.norm(cand.point) <= 1.0 + 1e-15:
-        return ProjectionResult(point=cand.point, active=_tight_label(cand.point, R),
-                                threshold=cand.threshold)
+        return cand
     ball = project_l2(v)
     if np.abs(ball).sum() <= R + 1e-15:
-        return ProjectionResult(point=ball, active=_tight_label(ball, R), threshold=0.0)
+        return ProjectionResult(point=ball, threshold=0.0)
     theta = _ratio_level(np.abs(v), R)
-    return ProjectionResult(point=_normalized_soft(v, theta), active="both", threshold=theta)
+    return ProjectionResult(point=_normalized_soft(v, theta), threshold=theta)
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "TrainingSet",
     "ConstraintSet",
     "make_paper_classifier",
+    "benchmark_classifier",
     "make_random_classifier",
     "generate_training_set",
     "hinge_objective",
@@ -110,8 +111,6 @@ class TrainingSet:
     X: np.ndarray
     y: np.ndarray
     r: float
-    m: int = 0
-    seed: RngSeed | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -124,17 +123,16 @@ class TrainingSet:
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
             raise ValueError(f"non-finite value {X[i, j]} in X at row {i + 1}, column x_{j + 1}")
-        m = X.shape[0]
-        if self.m == 0:
-            object.__setattr__(self, "m", m)
-        elif self.m != m:
-            raise ValueError("m disagrees with X")
-        if y.shape != (m,):
+        if y.shape != (X.shape[0],):
             raise ValueError("y must have one label per row")
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be +1 or -1")
         if not self.r > 0:
             raise ValueError("scale r must be positive")
+
+    @property
+    def m(self) -> int:
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
@@ -147,21 +145,18 @@ class ConstraintSet:
 
     kind: str
     R: float
-    l2_radius: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("l1", "l1l2"):
             raise ValueError("kind must be 'l1' or 'l1l2'")
         if self.R < 1.0:
             raise ValueError("l1 radius must be >= 1")
-        if self.kind == "l1l2" and self.l2_radius != 1.0:
-            raise ValueError("l2 radius is fixed to 1")
 
     def contains(self, w, tol: float = 1e-8) -> bool:
         w = np.asarray(w, dtype=float)
         ok = np.abs(w).sum() <= self.R + tol
         if self.kind == "l1l2":
-            ok = ok and np.linalg.norm(w) <= self.l2_radius + tol
+            ok = ok and np.linalg.norm(w) <= 1.0 + tol
         return bool(ok)
 
 
@@ -169,10 +164,18 @@ def make_paper_classifier(d: int) -> SparseClassifier:
     """The fixed 5-sparse benchmark classifier used by the sweep experiments."""
     if d <= max(_BENCH_SUPPORT):
         raise ValueError(f"need d >= {max(_BENCH_SUPPORT) + 1} for the fixed support")
+    return benchmark_classifier(d)
+
+
+def benchmark_classifier(d: int) -> SparseClassifier:
+    """The benchmark classifier at any d; support positions scale with d below 781."""
+    support = [p if d > max(_BENCH_SUPPORT) else p * d // 1000 for p in _BENCH_SUPPORT]
+    if len(set(support)) != 5:
+        raise ValueError(f"d={d} too small to place the 5-entry benchmark support")
     a = np.zeros(d)
-    a[list(_BENCH_SUPPORT)] = _BENCH_VALUES
+    a[support] = _BENCH_VALUES
     a /= np.linalg.norm(a)
-    return SparseClassifier(a=a, support=np.array(_BENCH_SUPPORT), s=5)
+    return SparseClassifier(a=a, support=np.array(support), s=5)
 
 
 def make_random_classifier(d: int, s: int, seed) -> SparseClassifier:
@@ -209,9 +212,7 @@ def generate_training_set(a, m: int, r: float, seed) -> TrainingSet:
         bad = np.flatnonzero(z == 0.0)
         Xt[bad] = rng.standard_normal((bad.size, vec.size))
         z[bad] = Xt[bad] @ vec
-    y = np.sign(z)
-    rec = seed if isinstance(seed, RngSeed) else None
-    return TrainingSet(X=r * Xt, y=y, r=float(r), m=m, seed=rec)
+    return TrainingSet(X=r * Xt, y=np.sign(z), r=float(r))
 
 
 def hinge_objective(w, T: TrainingSet) -> float:

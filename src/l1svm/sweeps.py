@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import RngSeed, SparseClassifier, generate_training_set, make_paper_classifier, \
+from .model import RngSeed, SparseClassifier, benchmark_classifier, generate_training_set, \
     make_random_classifier
 from .solvers import SolverConfig, recovery_error, solve_l1_l2_svm, solve_l1_svm, \
     solve_one_bit_cs
-from .theory import BoundReport, bound_report, write_bound_reports
+from .theory import BoundReport, _fmt, bound_report, write_bound_reports
 
 __all__ = [
     "METHODS",
@@ -39,8 +39,12 @@ __all__ = [
 
 METHODS = ("l1_svm", "l1l2_svm", "one_bit_cs")
 
-_BENCH_POSITIONS = (10, 140, 234, 360, 780)
-_BENCH_VALUES = (1.0, -1.0, 0.5, -0.5, 0.3)
+# the `fixed` options each sweep kind reads; any other key is rejected
+_FIXED_KEYS = {
+    "r": ("d", "m_values", "max_iters"),
+    "m": ("d", "r_fixed", "max_iters"),
+    "d": ("s", "m_multipliers", "r", "max_iters"),
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,9 @@ class SweepSpec:
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        unused = sorted(set(self.fixed) - set(_FIXED_KEYS[self.kind]))
+        if unused:
+            raise ValueError(f"sweep kind {self.kind!r} does not use option(s) {', '.join(unused)}")
 
 
 @dataclass(frozen=True)
@@ -86,19 +93,6 @@ class SweepRow:
     trials_used: int
     mean_solver_iters: float
     trial_l2_errors: tuple = ()  # per-trial values backing the mean, not serialized
-
-
-def benchmark_classifier(d: int) -> SparseClassifier:
-    """Fixed 5-sparse benchmark vector; support positions scale with d below 781."""
-    if d > max(_BENCH_POSITIONS):
-        return make_paper_classifier(d)
-    positions = [p * d // 1000 for p in _BENCH_POSITIONS]
-    if len(set(positions)) != 5:
-        raise ValueError(f"d={d} too small to place the 5-entry benchmark support")
-    a = np.zeros(d)
-    a[positions] = _BENCH_VALUES
-    a /= np.linalg.norm(a)
-    return SparseClassifier(a=a, support=np.array(positions), s=5)
 
 
 def default_r_sweep_spec(trials: int = 20, seed: RngSeed = RngSeed(0), **fixed) -> SweepSpec:
@@ -124,69 +118,96 @@ def default_d_sweep_spec(trials: int = 60, seed: RngSeed = RngSeed(0), **fixed) 
                      fixed=cfg, seed=seed, methods=("l1_svm",))
 
 
-def _solver_config(fixed: dict) -> SolverConfig:
-    return SolverConfig(max_iters=int(fixed.get("max_iters", 5000)))
+# module-level, so that wrapping a solver function also wraps the sweeps' calls to it;
+# the sign baseline is closed form and takes no solver config
+_SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm,
+            "one_bit_cs": lambda T, R, cfg: solve_one_bit_cs(T, R)}
 
 
-def _solve(method: str, T, R: float, cfg: SolverConfig):
-    if method == "l1_svm":
-        return solve_l1_svm(T, R, cfg)
-    if method == "l1l2_svm":
-        return solve_l1_l2_svm(T, R, cfg)
-    return solve_one_bit_cs(T, R)
+@dataclass(frozen=True)
+class _Cell:
+    """One grid point x series of a sweep: one output row."""
+
+    sweep_value: float
+    method: str
+    m: int
+    r: float
+    d: int
+    s: int
+    a: SparseClassifier | None  # None: a fresh random classifier per trial
+    stream: int  # trial t draws from RngSeed(spec.seed.base, stream + t)
 
 
-def _fixed_classifier_trial(a, method, m, r, R, base, trial, cfg):
-    T = generate_training_set(a, m, r, RngSeed(base, trial))
-    res = _solve(method, T, R, cfg)
-    return recovery_error(a, res), res.iterations
+def _cells(spec: SweepSpec) -> list[_Cell]:
+    """Every cell of a sweep in row order; the one place each kind's grid is worked out."""
+    fixed = spec.fixed
+    if spec.kind == "d":
+        s = int(fixed.get("s", 5))
+        mults = tuple(fixed.get("m_multipliers", (10, 20, 40)))
+        cells = []
+        for di, d in enumerate(spec.grid):
+            d = int(d)
+            if d < s:
+                raise ValueError(f"d={d} smaller than sparsity {s}")
+            for mi, mult in enumerate(mults):
+                m = round(mult * math.log(d))
+                r = float(fixed["r"]) if fixed.get("r") is not None else math.sqrt(m) / 30.0
+                stream = spec.trials * (mi + len(mults) * di)
+                cells += [_Cell(float(d), method, m, r, d, s, None, stream)
+                          for method in spec.methods]
+        return cells
+    a = benchmark_classifier(int(fixed.get("d", 1000)))
+    if spec.kind == "r":
+        return [_Cell(float(r), method, int(m), float(r), a.d, a.s, a, 0)
+                for r in spec.grid for m in fixed.get("m_values", (200, 400))
+                for method in spec.methods]
+    r_fixed = float(fixed.get("r_fixed", 0.75))
+    cells = []
+    for m in spec.grid:
+        m = int(m)
+        series = [("l1_svm", r_fixed), ("l1_svm", math.sqrt(m) / 30.0),
+                  ("l1l2_svm", math.sqrt(m) / 30.0), ("one_bit_cs", math.sqrt(m) / 30.0)]
+        cells += [_Cell(float(m), method, m, r, a.d, a.s, a, 0)
+                  for method, r in series if method in spec.methods]
+    return cells
 
 
-def _aggregate(sweep_value, method, m, r, d, s, R, errors, ratios, iters) -> SweepRow:
-    errs = np.asarray(errors)
-    n = errs.size
-    std_err = float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return SweepRow(
-        sweep_value=float(sweep_value), method=method, m=int(m), r=float(r), d=int(d),
-        s=int(s), R=float(R), mean_l2_error=float(errs.mean()),
-        mean_ratio_error=float(np.mean(ratios)), std_error=std_err, trials_used=n,
-        mean_solver_iters=float(np.mean(iters)), trial_l2_errors=tuple(errs),
-    )
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Run `spec.trials` trials in every cell of the sweep; one row per cell.
+
+    For a random classifier the R column reports the trial average of ||a||_1.
+    """
+    cfg = SolverConfig(max_iters=int(spec.fixed.get("max_iters", 5000)))
+    rows = []
+    for c in _cells(spec):
+        errors, ratios, iters, norms = [], [], [], []
+        for trial in range(spec.trials):
+            gen = RngSeed(spec.seed.base, c.stream + trial).generator()
+            a = make_random_classifier(c.d, c.s, gen) if c.a is None else c.a
+            # unnamed, so that each m x d training set is freed before the next is drawn
+            res = _SOLVERS[c.method](generate_training_set(a, c.m, c.r, gen), a.l1_norm, cfg)
+            err = recovery_error(a, res)
+            errors.append(err.l2_error)
+            ratios.append(err.ratio_error)
+            iters.append(res.iterations)
+            norms.append(a.l1_norm)
+        errs = np.asarray(errors)
+        n = errs.size
+        rows.append(SweepRow(
+            sweep_value=c.sweep_value, method=c.method, m=c.m, r=c.r, d=c.d, s=c.s,
+            R=c.a.l1_norm if c.a is not None else float(np.mean(norms)),
+            mean_l2_error=float(errs.mean()), mean_ratio_error=float(np.mean(ratios)),
+            std_error=float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            trials_used=n, mean_solver_iters=float(np.mean(iters)), trial_l2_errors=tuple(errs),
+        ))
+    return rows
 
 
 def run_r_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Error versus data scale r, fixed benchmark classifier, one series per m."""
     if spec.kind != "r":
         raise ValueError("spec.kind must be 'r'")
-    d = int(spec.fixed.get("d", 1000))
-    m_values = tuple(spec.fixed.get("m_values", (200, 400)))
-    a = benchmark_classifier(d)
-    R = a.l1_norm
-    cfg = _solver_config(spec.fixed)
-    rows = []
-    for r in spec.grid:
-        for m in m_values:
-            for method in spec.methods:
-                errors, ratios, iters = [], [], []
-                for trial in range(spec.trials):
-                    err, its = _fixed_classifier_trial(a, method, m, r, R,
-                                                       spec.seed.base, trial, cfg)
-                    errors.append(err.l2_error)
-                    ratios.append(err.ratio_error)
-                    iters.append(its)
-                rows.append(_aggregate(r, method, m, r, d, a.s, R, errors, ratios, iters))
-    return rows
-
-
-def _m_sweep_series(spec: SweepSpec):
-    r_fixed = float(spec.fixed.get("r_fixed", 0.75))
-    series = [
-        ("l1_svm", lambda m: r_fixed),
-        ("l1_svm", lambda m: math.sqrt(m) / 30.0),
-        ("l1l2_svm", lambda m: math.sqrt(m) / 30.0),
-        ("one_bit_cs", lambda m: math.sqrt(m) / 30.0),
-    ]
-    return [(meth, rule) for meth, rule in series if meth in spec.methods]
+    return run_sweep(spec)
 
 
 def run_m_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -198,29 +219,7 @@ def run_m_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     if spec.kind != "m":
         raise ValueError("spec.kind must be 'm'")
-    d = int(spec.fixed.get("d", 1000))
-    a = benchmark_classifier(d)
-    R = a.l1_norm
-    cfg = _solver_config(spec.fixed)
-    rows = []
-    for m in spec.grid:
-        m = int(m)
-        for method, r_rule in _m_sweep_series(spec):
-            r = float(r_rule(m))
-            errors, ratios, iters = [], [], []
-            for trial in range(spec.trials):
-                err, its = _fixed_classifier_trial(a, method, m, r, R,
-                                                   spec.seed.base, trial, cfg)
-                errors.append(err.l2_error)
-                ratios.append(err.ratio_error)
-                iters.append(its)
-            rows.append(_aggregate(m, method, m, r, d, a.s, R, errors, ratios, iters))
-    return rows
-
-
-def _d_sweep_stream(spec: SweepSpec, d_index: int, mult_index: int, trial: int) -> int:
-    mults = tuple(spec.fixed.get("m_multipliers", (10, 20, 40)))
-    return trial + spec.trials * (mult_index + len(mults) * d_index)
+    return run_sweep(spec)
 
 
 def run_d_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -231,39 +230,7 @@ def run_d_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     if spec.kind != "d":
         raise ValueError("spec.kind must be 'd'")
-    s = int(spec.fixed.get("s", 5))
-    mults = tuple(spec.fixed.get("m_multipliers", (10, 20, 40)))
-    r_override = spec.fixed.get("r")
-    cfg = _solver_config(spec.fixed)
-    rows = []
-    for di, d in enumerate(spec.grid):
-        d = int(d)
-        if d < s:
-            raise ValueError(f"d={d} smaller than sparsity {s}")
-        for mi, mult in enumerate(mults):
-            m = round(mult * math.log(d))
-            r = float(r_override) if r_override is not None else math.sqrt(m) / 30.0
-            for method in spec.methods:
-                errors, ratios, iters, r_norms = [], [], [], []
-                for trial in range(spec.trials):
-                    stream = _d_sweep_stream(spec, di, mi, trial)
-                    gen = RngSeed(spec.seed.base, stream).generator()
-                    a = make_random_classifier(d, s, gen)
-                    T = generate_training_set(a, m, r, gen)
-                    res = _solve(method, T, a.l1_norm, cfg)
-                    err = recovery_error(a, res)
-                    errors.append(err.l2_error)
-                    ratios.append(err.ratio_error)
-                    iters.append(res.iterations)
-                    r_norms.append(a.l1_norm)
-                rows.append(_aggregate(d, method, m, r, d, s, float(np.mean(r_norms)),
-                                       errors, ratios, iters))
-    return rows
-
-
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    runner = {"r": run_r_sweep, "m": run_m_sweep, "d": run_d_sweep}[spec.kind]
-    return runner(spec)
+    return run_sweep(spec)
 
 
 def enumerate_sweep_points(spec: SweepSpec) -> list[dict]:
@@ -273,39 +240,13 @@ def enumerate_sweep_points(spec: SweepSpec) -> list[dict]:
     always contains them.  The slack defaults to u = r R sqrt(2 log 2d)/sqrt(m),
     matching the scale of the deterministic deviation term.
     """
-    points = []
-    seen = set()
-
-    def add(d, s, R, r, m):
-        key = (d, s, round(R, 12), round(r, 12), m)
-        if key in seen:
-            return
-        seen.add(key)
-        u = r * R * math.sqrt(2.0 * math.log(2.0 * d)) / math.sqrt(m)
-        points.append({"d": int(d), "s": int(s), "R": float(R), "r": float(r),
-                       "m": int(m), "u": float(u)})
-
-    if spec.kind == "r":
-        d = int(spec.fixed.get("d", 1000))
-        a = benchmark_classifier(d)
-        for r in spec.grid:
-            for m in spec.fixed.get("m_values", (200, 400)):
-                add(d, a.s, a.l1_norm, float(r), int(m))
-    elif spec.kind == "m":
-        d = int(spec.fixed.get("d", 1000))
-        a = benchmark_classifier(d)
-        for m in spec.grid:
-            for _, r_rule in _m_sweep_series(spec):
-                add(d, a.s, a.l1_norm, float(r_rule(int(m))), int(m))
-    else:
-        s = int(spec.fixed.get("s", 5))
-        r_override = spec.fixed.get("r")
-        for d in spec.grid:
-            for mult in spec.fixed.get("m_multipliers", (10, 20, 40)):
-                m = round(mult * math.log(int(d)))
-                r = float(r_override) if r_override is not None else math.sqrt(m) / 30.0
-                add(int(d), s, math.sqrt(s), r, m)
-    return points
+    points = {}
+    for c in _cells(spec):
+        R = math.sqrt(c.s) if c.a is None else c.a.l1_norm
+        u = c.r * R * math.sqrt(2.0 * math.log(2.0 * c.d)) / math.sqrt(c.m)
+        points.setdefault((c.d, c.s, round(R, 12), round(c.r, 12), c.m),
+                          {"d": c.d, "s": c.s, "R": float(R), "r": c.r, "m": c.m, "u": float(u)})
+    return list(points.values())
 
 
 def emit_bound_overlay(spec: SweepSpec, eps_grid=(0.05, 0.1, 0.15), t: float = 1.0,
@@ -323,10 +264,6 @@ def emit_bound_overlay(spec: SweepSpec, eps_grid=(0.05, 0.1, 0.15), t: float = 1
 
 SWEEP_HEADER = ("sweep_value,method,m,r,d,s,R,mean_l2_error,mean_ratio_error,"
                 "std_error,trials,mean_iters")
-
-
-def _fmt(x) -> str:
-    return f"{x:.10g}"
 
 
 def write_sweep_rows(rows, path) -> None:

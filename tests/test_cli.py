@@ -144,6 +144,16 @@ class TestSweepCommand:
         # 2 sweep points x default 3 eps values
         assert len(blines) == 7
 
+    @pytest.mark.parametrize("kind, flag, value, option", [
+        ("m", "--r", "0.5", "r"), ("r", "--r", "0.5", "r"), ("d", "--d", "100", "d")])
+    def test_option_unused_by_kind_exit_2(self, tmp_path, capsys, kind, flag, value, option):
+        out = tmp_path / "s.csv"
+        code, _, err = run(["sweep", "--kind", kind, "--trials", "1", "--grid", "40",
+                            flag, value, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"sweep kind '{kind}' does not use option(s) {option}" in err
+        assert not out.exists()
+
     def test_bad_grid_exit_2(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--kind", "r", "--grid", "1:0.5:-0.1",
                             "--out", str(tmp_path / "s.csv")], capsys)

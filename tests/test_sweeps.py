@@ -1,5 +1,7 @@
+import csv
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,22 @@ class TestSpecValidation:
             SweepSpec(kind="r", grid=(1.0,), trials=1, methods=("ridge",))
         with pytest.raises(ValueError):
             SweepSpec(kind="r", grid=(1.0,), trials=1, methods=())
+
+    @pytest.mark.parametrize("kind, key", [
+        ("r", "r_fixed"), ("r", "s"), ("r", "r"), ("m", "r"), ("m", "m_values"),
+        ("m", "m_multipliers"), ("d", "d"), ("d", "r_fixed"), ("d", "m_values"),
+        ("d", "max_iter")])
+    def test_option_unused_by_kind_rejected(self, kind, key):
+        msg = f"sweep kind '{kind}' does not use option\\(s\\) {key}$"
+        with pytest.raises(ValueError, match=msg):
+            SweepSpec(kind=kind, grid=(40,), trials=1, fixed={key: 1})
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("r", ("d", "m_values", "max_iters")), ("m", ("d", "r_fixed", "max_iters")),
+        ("d", ("s", "m_multipliers", "r", "max_iters"))])
+    def test_options_used_by_kind_accepted(self, kind, keys):
+        spec = SweepSpec(kind=kind, grid=(40,), trials=1, fixed=dict.fromkeys(keys, 1))
+        assert set(spec.fixed) == set(keys)
 
     def test_kind_mismatch_rejected_by_runner(self):
         with pytest.raises(ValueError):
@@ -233,3 +251,47 @@ class TestCsvOutput:
         write_sweep_rows(rows, p1)
         write_sweep_rows(run_r_sweep(tiny_r_spec()), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# the tiny specs above; the d one has two multipliers and two methods, so that
+# the per-(d, multiplier) stream ids and the per-trial R average are pinned too
+GOLDEN_SPECS = {
+    "r": tiny_r_spec(),
+    "m": TestMSweep().tiny(),
+    "d": SweepSpec(kind="d", grid=(40, 60), trials=3, seed=RngSeed(9),
+                   fixed={"s": 3, "m_multipliers": (10, 20), "max_iters": 60},
+                   methods=("l1_svm", "l1l2_svm")),
+}
+
+
+def _assert_csv_matches_golden(path, name, exact):
+    got = path.read_text().splitlines()
+    want = (GOLDEN / name).read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for got_row, want_row in zip(csv.DictReader(got), csv.DictReader(want)):
+        for col, value in want_row.items():
+            if col in exact:
+                assert got_row[col] == value, (col, want_row)
+            else:
+                assert float(got_row[col]) == pytest.approx(float(value), rel=1e-9, abs=1e-9), \
+                    (col, want_row)
+
+
+class TestGoldenOutput:
+    """Row order, stream ids and values pinned to recorded text."""
+
+    @pytest.mark.parametrize("kind", ["r", "m", "d"])
+    def test_sweep_rows(self, kind, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_rows(run_sweep(GOLDEN_SPECS[kind]), path)
+        _assert_csv_matches_golden(path, f"sweep_{kind}.csv", exact=(
+            "sweep_value", "method", "m", "r", "d", "s", "R", "trials", "mean_iters"))
+
+    def test_bound_overlay(self, tmp_path):
+        path = tmp_path / "bounds.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            emit_bound_overlay(GOLDEN_SPECS["m"], path=path)
+        _assert_csv_matches_golden(path, "bounds_m.csv", exact=(
+            "d", "s", "R", "r", "m", "eps", "u", "m_required"))
