@@ -9,9 +9,9 @@ both in a seeded sweep harness with CSV output.
 
 from .model import (ConstraintSet, RngSeed, SparseClassifier, TrainingSet, as_generator,
                     benchmark_classifier, generate_training_set, hinge_objective,
-                    load_classifier, load_training_set, make_paper_classifier,
-                    make_random_classifier, save_classifier, save_training_set)
-from .geometry import ProjectionResult, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+                    load_classifier, load_training_set, make_random_classifier,
+                    save_classifier, save_training_set)
+from .geometry import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
 from .solvers import (RecoveryError, SolverConfig, SolverResult, recovery_error,
                       solve_l1_l2_svm, solve_l1_svm, solve_one_bit_cs)
 from .theory import (BoundReport, ConcentrationBound, HypothesisWarning, OverlapCoords,
@@ -27,10 +27,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RngSeed", "SparseClassifier", "TrainingSet", "ConstraintSet", "as_generator",
-    "make_paper_classifier", "benchmark_classifier", "make_random_classifier",
+    "benchmark_classifier", "make_random_classifier",
     "generate_training_set", "hinge_objective", "save_training_set", "load_training_set",
     "save_classifier", "load_classifier",
-    "ProjectionResult", "project_l1", "project_l2", "project_l1_l2",
+    "project_l1", "project_l2", "project_l1_l2",
     "max_linear_l1_l2",
     "SolverConfig", "SolverResult", "RecoveryError", "solve_l1_svm", "solve_l1_l2_svm",
     "solve_one_bit_cs", "recovery_error",

@@ -97,15 +97,14 @@ def projections_suite(n_inputs: int = 20, seed: RngSeed = _DEFAULT_SEED) -> list
     rng = as_generator(seed)
     results = []
 
-    for kind, proj in (("l1", lambda v, R: project_l1(v, R)),
-                       ("l1l2", lambda v, R: project_l1_l2(v, R))):
+    for kind, proj in (("l1", project_l1), ("l1l2", project_l1_l2)):
         worst_pt = 0.0
         worst_d2 = 0.0
         for i in range(n_inputs):
             d = 2 if i % 2 == 0 else 3
             v = rng.standard_normal(d) * 2.0
             R = float(rng.uniform(1.0, 2.0))
-            w = proj(v, R).point
+            w = proj(v, R)
             w_ref = grid_project(v, R, kind=kind)
             worst_pt = max(worst_pt, float(np.linalg.norm(w - w_ref)))
             worst_d2 = max(worst_d2, abs(float(((w - v) ** 2).sum() - ((w_ref - v) ** 2).sum())))
@@ -122,7 +121,7 @@ def projections_suite(n_inputs: int = 20, seed: RngSeed = _DEFAULT_SEED) -> list
         d = 6
         v = rng.standard_normal(d) * 3.0
         R = float(rng.uniform(1.0, 2.5))
-        w = project_l1_l2(v, R).point
+        w = project_l1_l2(v, R)
         for _ in range(100):
             z = rng.standard_normal(d)
             z = z / max(np.abs(z).sum() / R, np.linalg.norm(z), 1.0)

@@ -11,12 +11,9 @@ over the breakpoints, and there it is the root of one quadratic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ProjectionResult",
     "project_l1",
     "project_l2",
     "project_l1_l2",
@@ -24,28 +21,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    point: np.ndarray
-    threshold: float  # soft-threshold value used (0 when no thresholding happened)
+def project_l1(v, R: float) -> np.ndarray:
+    """Nearest point of the l1 ball of radius R, by sorted soft thresholding.
 
-
-def project_l1(v, R: float) -> ProjectionResult:
-    """Nearest point of the l1 ball of radius R, by sorted soft thresholding."""
+    Magnitudes and the level are measured down from the top magnitude, so R
+    is not lost to rounding against the magnitudes themselves: the top entry
+    always passes the scan, and the result keeps l1 norm R at any scale.
+    """
     v = np.asarray(v, dtype=float)
     if not R > 0:
         raise ValueError("radius must be positive")
     mags = np.abs(v)
     total = mags.sum()
+    if not np.isfinite(total):
+        raise ValueError("vector must be finite, with a finite l1 norm")
     if total <= R:
-        return ProjectionResult(point=v.copy(), threshold=0.0)
-    u = np.sort(mags)[::-1]
+        return v.copy()
+    below = mags - mags.max()
+    u = np.sort(below)[::-1]
     cs = np.cumsum(u)
     idx = np.arange(1, v.size + 1)
     rho = idx[u > (cs - R) / idx][-1]
-    theta = (cs[rho - 1] - R) / rho
-    w = np.sign(v) * np.maximum(mags - theta, 0.0)
-    return ProjectionResult(point=w, threshold=float(theta))
+    return np.sign(v) * np.maximum(below - (cs[rho - 1] - R) / rho, 0.0)
 
 
 def project_l2(v, radius: float = 1.0) -> np.ndarray:
@@ -94,7 +91,7 @@ def _normalized_soft(v, theta: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def project_l1_l2(v, R: float) -> ProjectionResult:
+def project_l1_l2(v, R: float) -> np.ndarray:
     """Nearest point of {||w||_1 <= R} intersected with the unit l2 ball.
 
     If projecting onto one ball alone already lands inside the other, that
@@ -107,13 +104,12 @@ def project_l1_l2(v, R: float) -> ProjectionResult:
     if not R > 0:
         raise ValueError("radius must be positive")
     cand = project_l1(v, R)
-    if np.linalg.norm(cand.point) <= 1.0 + 1e-15:
+    if np.linalg.norm(cand) <= 1.0 + 1e-15:
         return cand
     ball = project_l2(v)
     if np.abs(ball).sum() <= R + 1e-15:
-        return ProjectionResult(point=ball, threshold=0.0)
-    theta = _ratio_level(np.abs(v), R)
-    return ProjectionResult(point=_normalized_soft(v, theta), threshold=theta)
+        return ball
+    return _normalized_soft(v, _ratio_level(np.abs(v), R))
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:
@@ -141,18 +137,19 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
         raise ValueError("gradient must be finite")
     if R < 1.0:
         raise ValueError("need R >= 1")
-    norm2 = np.linalg.norm(g)
-    if norm2 == 0.0:
+    top = np.abs(g).max()
+    if top == 0.0:
         raise ValueError("zero vector: maximizer undefined")
+    # the maximizer ignores positive scaling; a top magnitude of 1 keeps ||g||_2 finite
+    g = g / top
     mags = np.abs(g)
+    norm2 = np.linalg.norm(g)
     if mags.sum() <= R * norm2:
         return g / norm2
-    top = mags.max()
-    k_top = int(np.count_nonzero(mags == top))
-    if np.sqrt(k_top) > R:
+    ties = np.flatnonzero(mags == 1.0)
+    if np.sqrt(ties.size) > R:
         # threshold lands inside the leading tie: weight only those entries
         w = np.zeros(g.size)
-        ties = np.flatnonzero(mags == top)
-        w[ties] = np.sign(g[ties]) * _tie_direction(k_top, R)
+        w[ties] = np.sign(g[ties]) * _tie_direction(ties.size, R)
         return w
     return _normalized_soft(g, _ratio_level(mags, R))

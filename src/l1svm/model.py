@@ -9,7 +9,7 @@ hinge loss f(w) = (1/m) sum_i [1 - y_i <x_i, w>]_+.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "SparseClassifier",
     "TrainingSet",
     "ConstraintSet",
-    "make_paper_classifier",
     "benchmark_classifier",
     "make_random_classifier",
     "generate_training_set",
@@ -89,12 +88,6 @@ class SparseClassifier:
         if np.abs(a).sum() > np.sqrt(self.s) + 1e-9:
             raise ValueError("l1 norm exceeds sqrt(s)")
 
-    @classmethod
-    def from_vector(cls, a) -> "SparseClassifier":
-        a = np.asarray(a, dtype=float)
-        sup = np.flatnonzero(a)
-        return cls(a=a, support=sup, s=len(sup))
-
     @property
     def d(self) -> int:
         return self.a.size
@@ -158,13 +151,6 @@ class ConstraintSet:
         if self.kind == "l1l2":
             ok = ok and np.linalg.norm(w) <= 1.0 + tol
         return bool(ok)
-
-
-def make_paper_classifier(d: int) -> SparseClassifier:
-    """The fixed 5-sparse benchmark classifier used by the sweep experiments."""
-    if d <= max(_BENCH_SUPPORT):
-        raise ValueError(f"need d >= {max(_BENCH_SUPPORT) + 1} for the fixed support")
-    return benchmark_classifier(d)
 
 
 def benchmark_classifier(d: int) -> SparseClassifier:

@@ -7,7 +7,7 @@ because its objective is linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +28,10 @@ __all__ = [
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    eta0: float | None = None  # None means: use the l1 radius R
-    tol: float = 1e-8  # best-objective improvement threshold ...
-    window: int = 100  # ... measured over this many iterations
-    track: str = "best_iterate"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.eta0 is not None and not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if self.track not in ("best_iterate", "averaged_iterate"):
-            raise ValueError("track must be best_iterate or averaged_iterate")
 
 
 @dataclass(frozen=True)
@@ -73,6 +61,10 @@ def _check_inputs(T: TrainingSet, R: float, cfg: SolverConfig) -> None:
         raise ValueError("empty training set")
 
 
+# the solve stops once the best objective has improved by less than _TOL
+# over the last _WINDOW iterations
+_TOL = 1e-8
+_WINDOW = 100
 # iterations between full recomputations of the incremental hinge gradient,
 # so that rounding in its row updates cannot accumulate
 _REFRESH = 64
@@ -80,6 +72,7 @@ _REFRESH = 64
 # a row update that large is not reliably cheaper than the dense product (at
 # d=1000 on a 2-vCPU Xeon they cross at 0.42 m for m=400 and 0.18 m for m=800)
 _FLIPS = 4
+_OVERFLOW = "overflowed: the data's scale times the l1 radius R exceeds floating point range"
 
 
 def _update_gradient(g, X, XF, y, active, new, k):
@@ -96,8 +89,8 @@ def _update_gradient(g, X, XF, y, active, new, k):
     return g
 
 
-def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project):
-    """Projected subgradient descent with eta_k = eta0 / sqrt(k).
+def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
+    """Projected subgradient descent with steps eta_k = R / sqrt(k); returns the best iterate.
 
     Iterates stay sparse, so margins are computed from the iterate's support
     (O(m nnz)), and the unnormalized hinge gradient g = sum_{margin_i > 0} y_i x_i
@@ -106,9 +99,7 @@ def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project)
     m, d = T.X.shape
     X, y = T.X, T.y
     XF = np.asfortranarray(X)  # contiguous columns for the support gather; X keeps rows
-    eta0 = R if cfg.eta0 is None else cfg.eta0
     w = np.zeros(d)
-    w_sum = np.zeros(d)
     active = np.ones(m, dtype=bool)  # every margin is 1 at w = 0
     g = XF.T @ y
     best_w = w
@@ -117,32 +108,29 @@ def _projected_subgradient(T: TrainingSet, R: float, cfg: SolverConfig, project)
     trace = []
     converged = False
     k = 0
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, max_iters + 1):
         S = np.flatnonzero(w)
         margins = 1.0 - y * (XF[:, S] @ w[S])
         f = float(np.mean(np.maximum(margins, 0.0)))
         if not np.isfinite(f):
-            raise FloatingPointError("objective overflowed; reduce eta0")
+            raise FloatingPointError(f"hinge objective {_OVERFLOW}")
         trace.append(f)
         if f < best_f:
             best_f = f
             best_w = w.copy()
         best_hist.append(best_f)
-        w_sum += w
-        if k > cfg.window and best_hist[-cfg.window - 1] - best_f < cfg.tol:
+        if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
             converged = True
             break
         # rows sitting exactly on the hinge kink contribute zero
         new = margins > 0.0
         g = _update_gradient(g, X, XF, y, active, new, k)
         active = new
-        w = project(w + (eta0 / np.sqrt(k)) * (g / m))
-    if cfg.track == "averaged_iterate":
-        w_hat = w_sum / k  # average of feasible points, feasible by convexity
-        f_hat = float(np.mean(np.maximum(1.0 - y * (XF @ w_hat), 0.0)))
-    else:
-        w_hat, f_hat = best_w, best_f
-    return w_hat, f_hat, np.asarray(trace), k, converged
+        z = w + (R / np.sqrt(k)) * (g / m)
+        if not np.isfinite(np.abs(z).sum()):  # a non-finite entry or l1 norm
+            raise FloatingPointError(f"subgradient step {_OVERFLOW}")
+        w = project(z, R)
+    return best_w, best_f, np.asarray(trace), k, converged
 
 
 def _finish(w_hat, f_hat, trace, iters, converged, constraints: ConstraintSet) -> SolverResult:
@@ -157,7 +145,7 @@ def solve_l1_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> S
     """Minimize the averaged hinge loss over {||w||_1 <= R}."""
     cfg = SolverConfig() if cfg is None else cfg
     _check_inputs(T, R, cfg)
-    out = _projected_subgradient(T, R, cfg, lambda z: project_l1(z, R).point)
+    out = _projected_subgradient(T, R, cfg.max_iters, project_l1)
     return _finish(*out, ConstraintSet("l1", R))
 
 
@@ -165,7 +153,7 @@ def solve_l1_l2_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -
     """Minimize the averaged hinge loss over {||w||_1 <= R, ||w||_2 <= 1}."""
     cfg = SolverConfig() if cfg is None else cfg
     _check_inputs(T, R, cfg)
-    out = _projected_subgradient(T, R, cfg, lambda z: project_l1_l2(z, R).point)
+    out = _projected_subgradient(T, R, cfg.max_iters, project_l1_l2)
     return _finish(*out, ConstraintSet("l1l2", R))
 
 
@@ -178,7 +166,7 @@ def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
     if R < 1.0:
         raise ValueError("need R >= 1")
     g = T.X.T @ T.y
-    if np.linalg.norm(g) == 0.0:
+    if not g.any():
         raise ValueError("labeled sample sum is zero: maximizer undefined")
     w = max_linear_l1_l2(g, R)
     value = float(g @ w)

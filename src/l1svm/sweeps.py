@@ -9,6 +9,8 @@ see the same noise realizations and paired comparisons are meaningful.
 from __future__ import annotations
 
 import math
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,7 @@ class SweepSpec:
     kind: str  # "r", "m" or "d"
     grid: tuple
     trials: int
-    fixed: dict = field(default_factory=dict)
+    fixed: Mapping = field(default_factory=dict)
     seed: RngSeed = RngSeed(0)
     methods: tuple = ("l1_svm", "l1l2_svm")
 
@@ -62,6 +64,8 @@ class SweepSpec:
         grid = tuple(self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
+        # read-only, so that no key can join after the per-kind check below
+        object.__setattr__(self, "fixed", types.MappingProxyType(dict(self.fixed)))
         if len(grid) == 0:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from l1svm import cli
-from l1svm.model import load_classifier, load_training_set
+from l1svm.model import TrainingSet, load_classifier, load_training_set, save_training_set
 
 
 def run(argv, capsys):
@@ -85,6 +85,36 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+
+    @staticmethod
+    def huge_data(tmp_path, scale):
+        rng = np.random.default_rng(7)
+        X = scale * rng.standard_normal((20, 10))
+        y = np.where(rng.uniform(size=20) < 0.5, -1.0, 1.0)
+        path = tmp_path / "huge.csv"
+        save_training_set(TrainingSet(X=X, y=y, r=1.0), path)
+        return path
+
+    @pytest.mark.parametrize("method", ["l1", "l1l2"])
+    def test_overflowing_step_exit_1(self, tmp_path, capsys, method):
+        path = self.huge_data(tmp_path, 1e260)
+        code, _, err = run(["solve", "--method", method, "--data", str(path),
+                            "--R", "1e100"], capsys)
+        assert code == 1
+        assert err.strip() == ("runtime error: subgradient step overflowed: the data's scale "
+                               "times the l1 radius R exceeds floating point range")
+
+    @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
+    def test_huge_scale_data_solves(self, tmp_path, capsys, method):
+        path = self.huge_data(tmp_path, 1e200)
+        out = tmp_path / "w.csv"
+        code, _, err = run(["solve", "--method", method, "--data", str(path),
+                            "--R", "1", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        w = load_classifier(out, 10)
+        assert np.abs(w).sum() <= 1.0 + 1e-12
+        if method == "onebit":
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("text", ["", "i,y,x_1,x_2\n"])
     def test_empty_training_csv_exit_2(self, tmp_path, capsys, text):

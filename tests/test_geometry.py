@@ -15,20 +15,36 @@ def _feasible_point(rng, d, R):
 class TestProjectL1:
     def test_interior_point_unchanged(self):
         v = np.array([0.2, -0.3, 0.1])
-        res = project_l1(v, 1.0)
-        assert_allclose(res.point, v)
-        assert res.threshold == 0.0
-        assert np.abs(res.point).sum() < 1.0
+        w = project_l1(v, 1.0)
+        assert np.array_equal(w, v)  # no thresholding at all
+        assert np.abs(w).sum() < 1.0
 
     def test_axis_point(self):
-        res = project_l1(np.array([2.0, 0.0]), 1.0)
-        assert_allclose(res.point, [1.0, 0.0], atol=1e-14)
-        assert abs(np.abs(res.point).sum() - 1.0) <= 1e-12
+        w = project_l1(np.array([2.0, 0.0]), 1.0)
+        assert_allclose(w, [1.0, 0.0], atol=1e-14)
+        assert abs(np.abs(w).sum() - 1.0) <= 1e-12
 
     def test_known_threshold(self):
-        res = project_l1(np.array([3.0, 1.0]), 2.0)
-        assert_allclose(res.point, [2.0, 0.0], atol=1e-14)
-        assert res.threshold == pytest.approx(1.0, abs=1e-14)
+        v = np.array([3.0, 1.0])
+        w = project_l1(v, 2.0)
+        assert_allclose(w, [2.0, 0.0], atol=1e-14)
+        assert v[0] - w[0] == pytest.approx(1.0, abs=1e-14)  # the soft-threshold level
+
+    @pytest.mark.parametrize("v,expected", [
+        ([1e17, 0.0], [1.0, 0.0]),
+        ([1e16, 3.0, 0.0], [1.0, 0.0, 0.0]),
+        ([-3.0, 1e300, 2e299], [0.0, 1.0, 0.0]),
+    ])
+    def test_radius_survives_huge_magnitudes(self, v, expected):
+        """R is far below the magnitudes' rounding unit, yet the result has l1 norm R."""
+        with np.errstate(all="raise"):
+            w = project_l1(np.array(v), 1.0)
+        assert_allclose(w, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            project_l1(np.array([1.0, bad, 0.0]), 1.0)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
@@ -40,7 +56,7 @@ class TestProjectL1:
         d = 2 if trial % 2 == 0 else 3
         v = rng.standard_normal(d) * 2.0
         R = float(rng.uniform(1.0, 2.0))
-        w = project_l1(v, R).point
+        w = project_l1(v, R)
         ref = grid_project(v, R, kind="l1")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(((w - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
@@ -50,29 +66,29 @@ class TestProjectL1:
         for _ in range(20):
             v1 = rng.standard_normal(10) * 3
             v2 = rng.standard_normal(10) * 3
-            w1 = project_l1(v1, 1.7).point
-            w2 = project_l1(v2, 1.7).point
-            assert_allclose(project_l1(w1, 1.7).point, w1, atol=1e-10)
+            w1 = project_l1(v1, 1.7)
+            w2 = project_l1(v2, 1.7)
+            assert_allclose(project_l1(w1, 1.7), w1, atol=1e-10)
             assert np.linalg.norm(w1 - w2) <= np.linalg.norm(v1 - v2) + 1e-10
 
 
 class TestProjectL1L2:
     def test_interior_point_unchanged(self):
         v = np.array([0.3, 0.2])
-        assert_allclose(project_l1_l2(v, 1.5).point, v)
+        assert_allclose(project_l1_l2(v, 1.5), v)
 
     def test_l2_constraint_binds_alone(self):
         res = project_l1_l2(np.array([3.0, 0.0]), 2.0)
-        assert_allclose(res.point, [1.0, 0.0], atol=1e-14)
-        assert abs(np.linalg.norm(res.point) - 1.0) <= 1e-12
-        assert np.abs(res.point).sum() < 2.0
+        assert_allclose(res, [1.0, 0.0], atol=1e-14)
+        assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
+        assert np.abs(res).sum() < 2.0
 
     def test_symmetric_corner_case(self):
         # by symmetry the projection of (2,2) is (t,t) with the l1 bound tight
         res = project_l1_l2(np.array([2.0, 2.0]), 1.2)
-        assert_allclose(res.point, [0.6, 0.6], atol=1e-9)
+        assert_allclose(res, [0.6, 0.6], atol=1e-9)
         ref = grid_project(np.array([2.0, 2.0]), 1.2, kind="l1l2")
-        assert np.linalg.norm(res.point - ref) < 2e-3
+        assert np.linalg.norm(res - ref) < 2e-3
 
     @pytest.mark.parametrize("trial", range(6))
     def test_matches_grid_oracle(self, trial):
@@ -80,7 +96,7 @@ class TestProjectL1L2:
         d = 2 if trial % 2 == 0 else 3
         v = rng.standard_normal(d) * 2.0
         R = float(rng.uniform(1.0, 2.0))
-        w = project_l1_l2(v, R).point
+        w = project_l1_l2(v, R)
         ref = grid_project(v, R, kind="l1l2")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(((w - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
@@ -90,7 +106,7 @@ class TestProjectL1L2:
         for _ in range(5):
             v = rng.standard_normal(8) * 3.0
             R = float(rng.uniform(1.0, 2.5))
-            w = project_l1_l2(v, R).point
+            w = project_l1_l2(v, R)
             for _ in range(100):
                 z = _feasible_point(rng, 8, R)
                 assert (v - w) @ (z - w) <= 1e-8
@@ -99,7 +115,7 @@ class TestProjectL1L2:
         rng = np.random.default_rng(8)
         for _ in range(25):
             v = rng.standard_normal(12) * 4.0
-            w = project_l1_l2(v, 1.3).point
+            w = project_l1_l2(v, 1.3)
             assert np.abs(w).sum() <= 1.3 + 1e-10
             assert np.linalg.norm(w) <= 1.0 + 1e-10
 
@@ -109,7 +125,7 @@ class TestProjectL1L2:
         d = 4
         for _ in range(10):
             v = rng.standard_normal(d) * 2.0
-            assert_allclose(project_l1_l2(v, float(np.sqrt(d))).point,
+            assert_allclose(project_l1_l2(v, float(np.sqrt(d))),
                             project_l2(v), atol=1e-9)
 
     def test_nonconvergence_carries_state(self):
@@ -117,14 +133,14 @@ class TestProjectL1L2:
         # constraints are tight and the exact kernel must land on them
         v = np.array([3.0, 1.5])
         res = project_l1_l2(v, 1.2)
-        assert abs(np.abs(res.point).sum() - 1.2) <= 1e-12 * 1.2
-        assert abs(np.linalg.norm(res.point) - 1.0) <= 1e-12
+        assert abs(np.abs(res).sum() - 1.2) <= 1e-12 * 1.2
+        assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
         ref = grid_project(v, 1.2, kind="l1l2")
-        assert np.linalg.norm(res.point - ref) < 2e-3
-        assert abs(((res.point - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
+        assert np.linalg.norm(res - ref) < 2e-3
+        assert abs(((res - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
 
     def test_dykstra_path_matches_oracle(self):
-        w = project_l1_l2(np.array([3.0, 1.5]), 1.2).point
+        w = project_l1_l2(np.array([3.0, 1.5]), 1.2)
         ref = grid_project(np.array([3.0, 1.5]), 1.2, kind="l1l2")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(np.abs(w).sum() - 1.2) < 1e-8  # both constraints tight here
@@ -135,7 +151,7 @@ def _dykstra(v, R, tol=1e-13, max_rounds=200_000):
     """Reference projection onto the intersection by Dykstra's alternating scheme."""
     x, p, q = v.copy(), np.zeros_like(v), np.zeros_like(v)
     for _ in range(max_rounds):
-        y = project_l1(x + p, R).point
+        y = project_l1(x + p, R)
         p_new = x + p - y
         x_new = project_l2(y + q)
         q_new = y + q - x_new
@@ -179,11 +195,10 @@ class TestExactKernel:
         both = 0
         for _ in range(40):
             v, R = _random_case(rng)
-            if np.linalg.norm(project_l1(v, R).point) <= 1.0 or np.abs(project_l2(v)).sum() <= R:
+            if np.linalg.norm(project_l1(v, R)) <= 1.0 or np.abs(project_l2(v)).sum() <= R:
                 continue  # a single-ball projection lands in the intersection
-            res = project_l1_l2(v, R)
+            w = project_l1_l2(v, R)
             both += 1
-            w = res.point
             assert abs(np.abs(w).sum() - R) <= 1e-12 * R
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
             theta, mu, misfit, off_max = _soft_threshold_certificate(v, w)
@@ -199,7 +214,7 @@ class TestExactKernel:
         rng = np.random.default_rng(600 + seed)
         for _ in range(15):
             v, R = _random_case(rng)
-            w = project_l1_l2(v, R).point
+            w = project_l1_l2(v, R)
             assert np.linalg.norm(w - _dykstra(v, R)) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(2))
@@ -237,19 +252,19 @@ class TestExactKernel:
             res = project_l1_l2(2.0 * u, 2.0)
         assert 0.5 <= theta < 1.0
         assert_allclose(w, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
-        assert_allclose(res.point, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
+        assert_allclose(res, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
 
     def test_tied_top_magnitudes(self):
         with np.errstate(all="raise"):
             res = project_l1_l2(np.array([2.0, 2.0, 2.0]), 1.5)
-            assert_allclose(res.point, [0.5, 0.5, 0.5], atol=1e-15)
+            assert_allclose(res, [0.5, 0.5, 0.5], atol=1e-15)
             # two tied leaders below a third entry reach the kernel
             v = np.array([3.0, 3.0, 1.0])
             res = project_l1_l2(v, 1.6)
-            assert res.point[0] == res.point[1]
-            assert abs(np.abs(res.point).sum() - 1.6) <= 1e-12 * 1.6
-            assert abs(np.linalg.norm(res.point) - 1.0) <= 1e-12
-            assert np.linalg.norm(res.point - _dykstra(v, 1.6)) <= 1e-9
+            assert res[0] == res[1]
+            assert abs(np.abs(res).sum() - 1.6) <= 1e-12 * 1.6
+            assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
+            assert np.linalg.norm(res - _dykstra(v, 1.6)) <= 1e-9
             assert _ratio_level(np.array([2.0, 2.0, 2.0]), np.sqrt(3.0)) == 0.0
 
     def test_unit_radius(self):
@@ -257,7 +272,7 @@ class TestExactKernel:
         with np.errstate(all="raise"):
             for _ in range(10):
                 v = rng.standard_normal(50) * 3.0
-                assert_allclose(project_l1_l2(v, 1.0).point, project_l1(v, 1.0).point,
+                assert_allclose(project_l1_l2(v, 1.0), project_l1(v, 1.0),
                                 atol=1e-15)
                 j = np.argmax(np.abs(v))
                 w = max_linear_l1_l2(v, 1.0)
@@ -266,7 +281,7 @@ class TestExactKernel:
     def test_single_nonzero_entry(self):
         v = np.array([0.0, 0.0, -5.0, 0.0])
         with np.errstate(all="raise"):
-            assert_allclose(project_l1_l2(v, 1.5).point, [0.0, 0.0, -1.0, 0.0], atol=1e-15)
+            assert_allclose(project_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
             assert_allclose(max_linear_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
             theta = _ratio_level(np.abs(v), 1.5)
         assert np.isfinite(theta)
@@ -277,7 +292,7 @@ class TestExactKernel:
         v = np.full(d, 2.0)
         R = float(np.sqrt(d))
         with np.errstate(all="raise"):
-            assert_allclose(project_l1_l2(v, R).point, np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
+            assert_allclose(project_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
             assert_allclose(max_linear_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
             assert _ratio_level(v, R) == 0.0
 

@@ -6,7 +6,7 @@ import l1svm as L
 
 
 def test_paper_classifier_values():
-    a = L.make_paper_classifier(1000)
+    a = L.benchmark_classifier(1000)
     assert a.s == 5
     assert_allclose(a.a[10], 1.0 / np.sqrt(2.59), rtol=1e-12)
     assert_allclose(a.a[140], -1.0 / np.sqrt(2.59), rtol=1e-12)
@@ -14,12 +14,6 @@ def test_paper_classifier_values():
     assert_allclose(np.linalg.norm(a.a), 1.0, atol=1e-12)
     assert_allclose(a.l1_norm, 3.3 / np.sqrt(2.59), rtol=1e-12)
     assert np.count_nonzero(a.a) == 5
-
-
-def test_paper_classifier_dimension_boundary():
-    L.make_paper_classifier(781)
-    with pytest.raises(ValueError):
-        L.make_paper_classifier(780)
 
 
 @pytest.mark.parametrize("d,s", [(100, 5), (5, 5), (30, 1)])

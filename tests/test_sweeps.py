@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1svm.model import RngSeed, make_paper_classifier
+from l1svm.model import RngSeed
 from l1svm.sweeps import (
     SWEEP_HEADER,
     SweepSpec,
@@ -69,6 +70,20 @@ class TestSpecValidation:
         spec = SweepSpec(kind=kind, grid=(40,), trials=1, fixed=dict.fromkeys(keys, 1))
         assert set(spec.fixed) == set(keys)
 
+    def test_fixed_is_read_only(self):
+        spec = tiny_r_spec()
+        with pytest.raises(TypeError):
+            spec.fixed["r_fixed"] = 0.5
+        assert "r_fixed" not in spec.fixed
+        with pytest.raises(ValueError, match="does not use option\\(s\\) r_fixed$"):
+            dataclasses.replace(spec, fixed={**spec.fixed, "r_fixed": 0.5})
+
+    def test_fixed_is_copied(self):
+        fixed = {"d": 30, "m_values": (6,)}
+        spec = SweepSpec(kind="r", grid=(0.5,), trials=1, fixed=fixed)
+        fixed["r_fixed"] = 0.5
+        assert "r_fixed" not in spec.fixed
+
     def test_kind_mismatch_rejected_by_runner(self):
         with pytest.raises(ValueError):
             run_m_sweep(tiny_r_spec())
@@ -83,7 +98,7 @@ class TestBenchmarkClassifier:
 
     def test_full_size_matches_fixed_classifier(self):
         for d in (781, 1000):
-            assert np.array_equal(benchmark_classifier(d).a, make_paper_classifier(d).a)
+            assert benchmark_classifier(d).support.tolist() == [10, 140, 234, 360, 780]
 
     def test_too_small_dimension(self):
         with pytest.raises(ValueError):
