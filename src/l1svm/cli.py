@@ -9,7 +9,7 @@ import sys
 from .checks import SUITES, run_suite
 from .model import RngSeed, generate_training_set, load_training_set, make_random_classifier, \
     save_classifier, save_training_set
-from .solvers import SolverConfig, solve_l1_l2_svm, solve_l1_svm, solve_one_bit_cs
+from .solvers import SOLVERS, SolverConfig
 from .sweeps import METHODS, default_d_sweep_spec, default_m_sweep_spec, default_r_sweep_spec, \
     emit_bound_overlay, run_sweep, write_sweep_rows
 from .theory import bound_report, write_bound_reports
@@ -90,12 +90,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     T = load_training_set(args.data)
     method = _METHOD_ALIASES[args.method]
-    if method == "one_bit_cs":
-        res = solve_one_bit_cs(T, args.R)
-    else:
-        cfg = SolverConfig(max_iters=args.max_iters)
-        solver = solve_l1_svm if method == "l1_svm" else solve_l1_l2_svm
-        res = solver(T, args.R, cfg)
+    res = SOLVERS[method](T, args.R, SolverConfig(max_iters=args.max_iters))
     print(f"method      : {method}")
     print(f"data        : m = {T.m}, d = {T.d}")
     print(f"objective   : {res.objective:.10g} ({res.objective_kind})")

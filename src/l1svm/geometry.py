@@ -11,6 +11,8 @@ over the breakpoints, and there it is the root of one quadratic.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -45,13 +47,20 @@ def project_l1(v, R: float) -> np.ndarray:
     return np.sign(v) * np.maximum(below - (cs[rho - 1] - R) / rho, 0.0)
 
 
+def _top_exponent(v) -> int:
+    """e with max|v_j| in [2**(e-1), 2**e): v / 2**e is exact, and its l2 norm stays finite."""
+    return math.frexp(np.abs(v).max(initial=0.0))[1]
+
+
 def project_l2(v, radius: float = 1.0) -> np.ndarray:
-    """Nearest point of the l2 ball: rescale iff outside."""
+    """Nearest point of the l2 ball: rescale iff outside, with the norm taken at unit scale."""
     v = np.asarray(v, dtype=float)
     if not radius > 0:
         raise ValueError("radius must be positive")
-    n = np.linalg.norm(v)
-    return v.copy() if n <= radius else v * (radius / n)
+    e = _top_exponent(v)
+    u = np.ldexp(v, -e)
+    n = np.linalg.norm(u)
+    return v.copy() if n <= np.ldexp(radius, -e) else u * (radius / n)
 
 
 def _ratio_level(mags, R: float) -> float:
@@ -109,6 +118,8 @@ def project_l1_l2(v, R: float) -> np.ndarray:
     ball = project_l2(v)
     if np.abs(ball).sum() <= R + 1e-15:
         return ball
+    # the answer ignores positive scaling; at unit scale its sums of squares stay finite
+    v = np.ldexp(v, -_top_exponent(v))
     return _normalized_soft(v, _ratio_level(np.abs(v), R))
 
 

@@ -211,58 +211,68 @@ def hinge_objective(w, T: TrainingSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange.  Column x_j / row index j are 1-based in files, arrays are
-# 0-based in memory.  Values use %.17g so a round trip is lossless.
+# CSV interchange: the only code that opens, formats or parses a CSV file.  Column
+# x_j / row index j are 1-based in files, arrays are 0-based in memory.  Training
+# and classifier files use lossless %.17g and CRLF; sweep and bound tables %.10g and LF.
+
+def write_csv(path, header: str, lines, end: str) -> None:
+    """Write the header, then each preformatted line, every one ended by `end`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + end)
+        for line in lines:
+            fh.write(line + end)
+
+
+def _read_csv(path, name: str, title: str, header_ok):
+    """Yield the rows under a header that `header_ok` accepts, each as wide as the header."""
+    with open(path, newline="") as fh:
+        rd = csv.reader(fh)
+        header = next(rd, None)
+        if header is None:
+            raise ValueError(f"empty {name} CSV")
+        if not header_ok(header):
+            raise ValueError(f"not a {title} CSV")
+        for n, row in enumerate(rd, 1):
+            if len(row) != len(header):
+                raise ValueError(f"{name} CSV data row {n} has {len(row)} columns, "
+                                 f"expected {len(header)}")
+            yield row
+
 
 def save_training_set(T: TrainingSet, path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["i", "y"] + [f"x_{j}" for j in range(1, T.d + 1)])
-        for i in range(T.m):
-            wr.writerow([i + 1, int(T.y[i])] + [f"{v:.17g}" for v in T.X[i]])
+    line = "%d,%d" + ",%.17g" * T.d
+    write_csv(path, "i,y," + ",".join(f"x_{j}" for j in range(1, T.d + 1)),
+              (line % (i, y, *x.tolist()) for i, (y, x) in enumerate(zip(T.y, T.X), 1)),
+              "\r\n")
 
 
 def load_training_set(path) -> TrainingSet:
     """Read a training CSV.  The scale is already folded into X, so r is 1."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is not None and header[:2] != ["i", "y"]:
-            raise ValueError("not a training-set CSV")
-        rows = list(rd)
+    # parsed row by row (column i is not read), so no file-sized list of strings is kept
+    rows = [np.array([float(v) for v in row[1:]])
+            for row in _read_csv(path, "training", "training-set", lambda h: h[:2] == ["i", "y"])]
     if not rows:
         raise ValueError("empty training CSV")
-    for n, row in enumerate(rows, 1):
-        if len(row) != len(header):
-            raise ValueError(f"training CSV data row {n} has {len(row)} columns, "
-                             f"expected {len(header)}")
-    y = np.array([float(row[1]) for row in rows])
-    X = np.array([[float(v) for v in row[2:]] for row in rows])
-    return TrainingSet(X=X, y=y, r=1.0)
+    data = np.array(rows)
+    # contiguous copies: a strided y would take another BLAS path and change the last bits
+    return TrainingSet(X=data[:, 1:].copy(), y=data[:, 0].copy(), r=1.0)
 
 
 def save_classifier(a, path) -> None:
     """Write support entries only, as rows j,a_j with 1-based j."""
     vec = a.a if isinstance(a, SparseClassifier) else np.asarray(a, dtype=float)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["j", "a_j"])
-        for j in np.flatnonzero(vec):
-            wr.writerow([int(j) + 1, f"{vec[j]:.17g}"])
+    write_csv(path, "j,a_j", ("%d,%.17g" % (j + 1, vec[j]) for j in np.flatnonzero(vec)), "\r\n")
 
 
 def load_classifier(path, d: int) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header is None:
-            raise ValueError("empty classifier CSV")
-        if len(header) != 2 or header[0] != "j":
-            raise ValueError("not a classifier CSV")
-        a = np.zeros(d)
-        for row in rd:
-            j = int(row[0])
-            if not 1 <= j <= d:
-                raise ValueError(f"classifier index j = {j} is outside 1..d for d = {d}")
-            a[j - 1] = float(row[1])
+    """Read a classifier CSV into a length-d vector; a header-only file is the zero vector."""
+    a = np.zeros(d)
+    rows = _read_csv(path, "classifier", "classifier", lambda h: len(h) == 2 and h[0] == "j")
+    for n, (j, value) in enumerate(rows, 1):
+        j, value = int(j), float(value)
+        if not 1 <= j <= d:
+            raise ValueError(f"classifier index j = {j} is outside 1..d for d = {d}")
+        if not np.isfinite(value):
+            raise ValueError(f"classifier CSV data row {n} has non-finite a_j = {value}")
+        a[j - 1] = value
     return a

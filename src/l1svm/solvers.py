@@ -15,6 +15,7 @@ from .geometry import max_linear_l1_l2, project_l1, project_l1_l2
 from .model import ConstraintSet, SparseClassifier, TrainingSet
 
 __all__ = [
+    "SOLVERS",
     "SolverConfig",
     "SolverResult",
     "RecoveryError",
@@ -50,15 +51,6 @@ class RecoveryError:
     ratio_error: float  # l2_error / cosine, +inf when the cosine is not positive
     cosine: float  # <a, w/||w||_2>
     raw_l2: float  # ||a - w||_2, no normalization
-
-
-def _check_inputs(T: TrainingSet, R: float, cfg: SolverConfig) -> None:
-    if not isinstance(cfg, SolverConfig):
-        raise TypeError("cfg must be a SolverConfig")
-    if R < 1.0:
-        raise ValueError("need R >= 1")
-    if T.m < 1:
-        raise ValueError("empty training set")
 
 
 # the solve stops once the best objective has improved by less than _TOL
@@ -126,35 +118,39 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
         new = margins > 0.0
         g = _update_gradient(g, X, XF, y, active, new, k)
         active = new
-        z = w + (R / np.sqrt(k)) * (g / m)
-        if not np.isfinite(np.abs(z).sum()):  # a non-finite entry or l1 norm
+        with np.errstate(over="ignore"):  # an overflow is reported just below, as an error
+            z = w + (R / np.sqrt(k)) * (g / m)
+            finite = np.isfinite(np.abs(z).sum())  # no non-finite entry or l1 norm
+        if not finite:
             raise FloatingPointError(f"subgradient step {_OVERFLOW}")
         w = project(z, R)
     return best_w, best_f, np.asarray(trace), k, converged
 
 
-def _finish(w_hat, f_hat, trace, iters, converged, constraints: ConstraintSet) -> SolverResult:
-    if not constraints.contains(w_hat, tol=1e-8):
+def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, project):
+    """Check the inputs, run the projected subgradient solve and check its feasibility."""
+    cfg = SolverConfig() if cfg is None else cfg
+    if not isinstance(cfg, SolverConfig):
+        raise TypeError("cfg must be a SolverConfig")
+    if R < 1.0:
+        raise ValueError("need R >= 1")
+    if T.m < 1:
+        raise ValueError("empty training set")
+    w_hat, f_hat, trace, iters, converged = _projected_subgradient(T, R, cfg.max_iters, project)
+    if not ConstraintSet(kind, R).contains(w_hat, tol=1e-8):
         raise RuntimeError("solver produced an infeasible point")
-    return SolverResult(
-        w_hat=w_hat, objective=f_hat, trace=trace, iterations=iters, converged=converged
-    )
+    return SolverResult(w_hat=w_hat, objective=f_hat, trace=trace, iterations=iters,
+                        converged=converged)
 
 
 def solve_l1_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R}."""
-    cfg = SolverConfig() if cfg is None else cfg
-    _check_inputs(T, R, cfg)
-    out = _projected_subgradient(T, R, cfg.max_iters, project_l1)
-    return _finish(*out, ConstraintSet("l1", R))
+    return _solve(T, R, cfg, "l1", project_l1)
 
 
 def solve_l1_l2_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R, ||w||_2 <= 1}."""
-    cfg = SolverConfig() if cfg is None else cfg
-    _check_inputs(T, R, cfg)
-    out = _projected_subgradient(T, R, cfg.max_iters, project_l1_l2)
-    return _finish(*out, ConstraintSet("l1l2", R))
+    return _solve(T, R, cfg, "l1l2", project_l1_l2)
 
 
 def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
@@ -178,6 +174,12 @@ def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
         converged=True,
         objective_kind="linear",
     )
+
+
+# method name -> solver(T, R, cfg), module-level so that wrapping a solver function also
+# wraps the calls made through it; the closed-form sign baseline ignores the config
+SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm,
+           "one_bit_cs": lambda T, R, cfg: solve_one_bit_cs(T, R)}
 
 
 def recovery_error(a, result) -> RecoveryError:

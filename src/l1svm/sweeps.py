@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import RngSeed, SparseClassifier, benchmark_classifier, generate_training_set, \
-    make_random_classifier
-from .solvers import SolverConfig, recovery_error, solve_l1_l2_svm, solve_l1_svm, \
-    solve_one_bit_cs
-from .theory import BoundReport, _fmt, bound_report, write_bound_reports
+    make_random_classifier, write_csv
+from .solvers import SOLVERS, SolverConfig, recovery_error
+from .theory import BoundReport, bound_report, write_bound_reports
 
 __all__ = [
     "METHODS",
@@ -39,7 +38,7 @@ __all__ = [
     "SWEEP_HEADER",
 ]
 
-METHODS = ("l1_svm", "l1l2_svm", "one_bit_cs")
+METHODS = tuple(SOLVERS)
 
 # the `fixed` options each sweep kind reads; any other key is rejected
 _FIXED_KEYS = {
@@ -122,12 +121,6 @@ def default_d_sweep_spec(trials: int = 60, seed: RngSeed = RngSeed(0), **fixed) 
                      fixed=cfg, seed=seed, methods=("l1_svm",))
 
 
-# module-level, so that wrapping a solver function also wraps the sweeps' calls to it;
-# the sign baseline is closed form and takes no solver config
-_SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm,
-            "one_bit_cs": lambda T, R, cfg: solve_one_bit_cs(T, R)}
-
-
 @dataclass(frozen=True)
 class _Cell:
     """One grid point x series of a sweep: one output row."""
@@ -189,7 +182,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             gen = RngSeed(spec.seed.base, c.stream + trial).generator()
             a = make_random_classifier(c.d, c.s, gen) if c.a is None else c.a
             # unnamed, so that each m x d training set is freed before the next is drawn
-            res = _SOLVERS[c.method](generate_training_set(a, c.m, c.r, gen), a.l1_norm, cfg)
+            res = SOLVERS[c.method](generate_training_set(a, c.m, c.r, gen), a.l1_norm, cfg)
             err = recovery_error(a, res)
             errors.append(err.l2_error)
             ratios.append(err.ratio_error)
@@ -268,15 +261,11 @@ def emit_bound_overlay(spec: SweepSpec, eps_grid=(0.05, 0.1, 0.15), t: float = 1
 
 SWEEP_HEADER = ("sweep_value,method,m,r,d,s,R,mean_l2_error,mean_ratio_error,"
                 "std_error,trials,mean_iters")
+_SWEEP_LINE = "%.10g,%s,%s,%.10g,%s,%s,%.10g,%.10g,%.10g,%.10g,%s,%.10g"
 
 
 def write_sweep_rows(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(",".join([
-                _fmt(row.sweep_value), row.method, str(row.m), _fmt(row.r), str(row.d),
-                str(row.s), _fmt(row.R), _fmt(row.mean_l2_error),
-                _fmt(row.mean_ratio_error), _fmt(row.std_error), str(row.trials_used),
-                _fmt(row.mean_solver_iters),
-            ]) + "\n")
+    write_csv(path, SWEEP_HEADER, (_SWEEP_LINE % (
+        row.sweep_value, row.method, row.m, row.r, row.d, row.s, row.R, row.mean_l2_error,
+        row.mean_ratio_error, row.std_error, row.trials_used, row.mean_solver_iters,
+    ) for row in rows), "\n")

@@ -18,10 +18,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
-from .model import as_generator
+from .model import as_generator, write_csv
 
 __all__ = [
     "HypothesisWarning",
@@ -112,6 +111,7 @@ def expected_fa_w(o: OverlapCoords) -> float:
             return 1.0
         return 1.0 + abs(c) * r * math.sqrt(2.0 / math.pi)
     s = cp * r
+    from scipy import integrate  # its only user; imported here to keep package import light
 
     def integrand(t: float) -> float:
         return 2.0 * _phi(t) * _smoothed_hinge(1.0 - c * r * t, s)
@@ -293,19 +293,11 @@ def bound_report(d: int, s: int, R: float, r: float, m: int, eps: float, u: floa
 
 
 _BOUND_HEADER = "d,s,R,r,m,eps,u,thm1_total,thm1_fail_prob,thm3_bound,thm3_prob,thm8_bound,m_required"
-
-
-def _fmt(x) -> str:
-    return f"{x:.10g}"
+_BOUND_LINE = "%s,%s,%.10g,%.10g,%s,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%.10g,%s"
 
 
 def write_bound_reports(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(_BOUND_HEADER + "\n")
-        for b in reports:
-            row = [
-                str(b.d), str(b.s), _fmt(b.R), _fmt(b.r), str(b.m), _fmt(b.eps), _fmt(b.u),
-                _fmt(b.thm1.total), _fmt(b.thm1.failure_prob), _fmt(b.thm3_error_bound),
-                _fmt(b.thm3_prob), _fmt(b.thm8_error_bound), str(b.sample_size_required),
-            ]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, _BOUND_HEADER, (_BOUND_LINE % (
+        b.d, b.s, b.R, b.r, b.m, b.eps, b.u, b.thm1.total, b.thm1.failure_prob,
+        b.thm3_error_bound, b.thm3_prob, b.thm8_error_bound, b.sample_size_required,
+    ) for b in reports), "\n")

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +14,9 @@ def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def gen_args(out, d=12, s=3, m=8, r=1.5, seed=4):
@@ -43,6 +51,15 @@ class TestGenerate:
         a = load_classifier(cls, 12)
         assert np.count_nonzero(a) == 3
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_byte_goldens(self, tmp_path, capsys):
+        # CRLF line ends, %.17g values and both headers, as recorded in tests/golden/
+        out, cls = tmp_path / "train.csv", tmp_path / "cls.csv"
+        code, _, _ = run(gen_args(out, d=6, s=2, m=4, r=1.5, seed=3)
+                         + ["--classifier-out", str(cls)], capsys)
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "train_tiny.csv").read_bytes()
+        assert cls.read_bytes() == (GOLDEN / "classifier_tiny.csv").read_bytes()
 
     def test_invalid_params_exit_2(self, tmp_path, capsys):
         code, _, err = run(gen_args(tmp_path / "x.csv", s=0), capsys)
@@ -79,6 +96,12 @@ class TestSolve:
                           "--R", "1.4"], capsys)
         assert code == 2
 
+    def test_onebit_rejects_zero_max_iters(self, data, capsys):
+        # every method goes through one table call, so the config is validated for all
+        code, _, err = run(["solve", "--method", "onebit", "--data", str(data),
+                            "--R", "1.4", "--max-iters", "0"], capsys)
+        assert (code, err) == (2, "error: max_iters must be >= 1\n")
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         code, _, err = run(["solve", "--method", "l1",
                             "--data", str(tmp_path / "none.csv"), "--R", "1.4"], capsys)
@@ -101,8 +124,8 @@ class TestSolve:
         code, _, err = run(["solve", "--method", method, "--data", str(path),
                             "--R", "1e100"], capsys)
         assert code == 1
-        assert err.strip() == ("runtime error: subgradient step overflowed: the data's scale "
-                               "times the l1 radius R exceeds floating point range")
+        assert err == ("runtime error: subgradient step overflowed: the data's scale "
+                       "times the l1 radius R exceeds floating point range\n")
 
     @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
     def test_huge_scale_data_solves(self, tmp_path, capsys, method):
@@ -281,3 +304,11 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             cli.entry()
         assert exc.value.code == 0
+
+
+def test_import_leaves_out_quadrature():
+    code = "import sys, l1svm, l1svm.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout == "False\n"

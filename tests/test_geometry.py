@@ -297,6 +297,27 @@ class TestExactKernel:
             assert _ratio_level(v, R) == 0.0
 
 
+class TestHugeScale:
+    """Past the l1 candidate the projections ignore scale, so 1e200 inputs must not overflow."""
+
+    def test_l2_ball(self):
+        with np.errstate(all="raise"):
+            w = project_l2(np.array([1e200, 1e200]))
+        assert_allclose(w, [np.sqrt(0.5)] * 2, rtol=1e-15)
+
+    def test_intersection_on_the_l2_sphere(self):
+        with np.errstate(all="raise"):
+            w = project_l1_l2(np.array([1e200, 1e200]), 2.0)
+        assert_allclose(w, [np.sqrt(0.5)] * 2, rtol=1e-15)
+
+    def test_intersection_with_both_constraints_tight(self):
+        with np.errstate(all="raise"):
+            w = project_l1_l2(np.array([3e200, 1e200, 5e199]), 1.2)
+        want = project_l1_l2(np.array([3.0, 1.0, 0.5]), 1.2)
+        assert np.abs(want).sum() == pytest.approx(1.2) and np.linalg.norm(want) == pytest.approx(1)
+        assert_allclose(w, want, rtol=1e-14)
+
+
 class TestMaxLinear:
     def test_slack_l1_returns_direction(self):
         g = np.array([2.0, 1.0])

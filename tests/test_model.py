@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -206,3 +208,38 @@ def test_classifier_csv_empty_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty classifier CSV"):
         L.load_classifier(path, 5)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,load,save", [
+    ("train_tiny.csv", L.load_training_set, L.save_training_set),
+    ("classifier_tiny.csv", lambda p: L.load_classifier(p, 6), L.save_classifier),
+], ids=["train", "classifier"])
+def test_csv_golden_rewrites_byte_identical(tmp_path, name, load, save):
+    path = tmp_path / name
+    save(load(GOLDEN / name), path)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_classifier_csv_ragged_rejected(tmp_path):
+    path = tmp_path / "cls.csv"
+    path.write_text("j,a_j\n1,0.6\n2\n")
+    with pytest.raises(ValueError, match="^classifier CSV data row 2 has 1 columns, expected 2$"):
+        L.load_classifier(path, 5)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_classifier_csv_non_finite_rejected(tmp_path, bad):
+    path = tmp_path / "cls.csv"
+    path.write_text(f"j,a_j\n1,0.6\n3,{bad}\n")
+    with pytest.raises(ValueError, match=f"^classifier CSV data row 2 has non-finite a_j = {bad}$"):
+        L.load_classifier(path, 5)
+
+
+def test_classifier_csv_header_only_is_zero(tmp_path):
+    path = tmp_path / "cls.csv"
+    L.save_classifier(np.zeros(4), path)
+    assert path.read_bytes() == b"j,a_j\r\n"
+    assert np.array_equal(L.load_classifier(path, 4), np.zeros(4))
