@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 from .checks import SUITES, run_suite
 from .model import RngSeed, generate_training_set, load_training_set, make_random_classifier, \
@@ -173,20 +174,26 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, TypeError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # one line per warning, restored when the command ends
+        warnings.showwarning = _show_warning
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, TypeError, KeyError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry() -> None:

@@ -9,6 +9,7 @@ hinge loss f(w) = (1/m) sum_i [1 - y_i <x_i, w>]_+.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,14 +249,52 @@ def save_training_set(T: TrainingSet, path) -> None:
 
 def load_training_set(path) -> TrainingSet:
     """Read a training CSV.  The scale is already folded into X, so r is 1."""
-    # parsed row by row (column i is not read), so no file-sized list of strings is kept
-    rows = [np.array([float(v) for v in row[1:]])
-            for row in _read_csv(path, "training", "training-set", lambda h: h[:2] == ["i", "y"])]
-    if not rows:
-        raise ValueError("empty training CSV")
-    data = np.array(rows)
+    data = _parse_training_fast(path)
+    if data is None:  # the row path loads the file or raises today's message for it
+        # parsed row by row (column i is not read), so no file-sized list of strings is kept
+        rows = [np.array([float(v) for v in row[1:]])
+                for row in _read_csv(path, "training", "training-set", _is_training_header)]
+        if not rows:
+            raise ValueError("empty training CSV")
+        data = np.array(rows)
     # contiguous copies: a strided y would take another BLAS path and change the last bits
     return TrainingSet(X=data[:, 1:].copy(), y=data[:, 0].copy(), r=1.0)
+
+
+def _is_training_header(header) -> bool:
+    return header[:2] == ["i", "y"]
+
+
+def _parse_training_fast(path):
+    """Columns y, x_1, ... parsed by numpy's C reader, or None where the row path decides.
+
+    None covers every file the row path might read differently: no data row
+    (loadtxt would warn), a blank line (loadtxt skips it, the row path rejects
+    it), a field padded with ASCII separators 0x1c-0x1f (stripped by loadtxt,
+    not by float()), a field over the csv module's size limit, a width other
+    than the header's, and anything loadtxt rejects, such as `1_0` or a
+    non-numeric i.
+    """
+    with open(path, newline="") as fh:
+        header = next(csv.reader(fh), None)
+        first = next(fh, None)
+        if header is None or not _is_training_header(header) or first is None:
+            return None
+        try:
+            data = np.loadtxt(_plain_lines(itertools.chain((first,), fh)), delimiter=",",
+                              quotechar='"', comments=None, ndmin=2)
+        except ValueError:
+            return None
+    return data[:, 1:] if data.shape[1] == len(header) else None
+
+
+def _plain_lines(lines):
+    limit = csv.field_size_limit()
+    for line in lines:
+        if (line.isspace() or any(sep in line for sep in "\x1c\x1d\x1e\x1f")
+                or len(line) > limit and max(map(len, line.split(","))) > limit):
+            raise ValueError("a line the row path may read differently")
+        yield line
 
 
 def save_classifier(a, path) -> None:

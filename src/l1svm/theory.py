@@ -8,7 +8,8 @@ a Monte Carlo oracle used to cross-check the quadrature.
 
 The normal CDF comes from scipy.special.ndtr, which evaluates the
 complementary error function with Cephes' rational approximations (relative
-accuracy well below 1e-14).
+accuracy well below 1e-14).  It is imported inside its two users, so that a
+command that never evaluates it does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import as_generator, write_csv
 
@@ -81,6 +81,8 @@ def hinge_gaussian_integral(z: float) -> float:
     """Closed form of int_0^{1/z} (1 - z t) e^{-t^2/2} dt for z > 0."""
     if not z > 0:
         raise ValueError("need z > 0")
+    from scipy.special import ndtr
+
     return _SQRT_2PI * (ndtr(1.0 / z) - 0.5) - z * (1.0 - math.exp(-1.0 / (2.0 * z * z)))
 
 
@@ -93,6 +95,8 @@ def expected_fa_a(r: float) -> float:
 
 def _smoothed_hinge(A: float, s: float) -> float:
     # E_t [A - s t]_+ for t ~ N(0,1): the Gaussian-smoothed positive part
+    from scipy.special import ndtr
+
     return A * ndtr(A / s) + s * _phi(A / s)
 
 
@@ -238,14 +242,24 @@ def monte_carlo_fa(o: OverlapCoords, n_samples: int, seed) -> tuple[float, float
     rng = as_generator(seed)
     total = 0.0
     total_sq = 0.0
+    # two blocks of storage for the whole call; the in-place steps repeat the
+    # expression max(1 - (c r)|t1| - (c' r) t2, 0) operation for operation
+    size = min(n_samples, 1_000_000)
+    buf1, buf2 = np.empty(size), np.empty(size)
     left = n_samples
     while left > 0:
-        block = min(left, 1_000_000)
-        t1 = rng.standard_normal(block)
-        t2 = rng.standard_normal(block)
-        vals = np.maximum(1.0 - o.c * o.r * np.abs(t1) - o.c_prime * o.r * t2, 0.0)
+        block = min(left, size)
+        vals, t2 = buf1[:block], buf2[:block]
+        rng.standard_normal(out=vals)
+        rng.standard_normal(out=t2)
+        np.abs(vals, out=vals)
+        np.multiply(o.c * o.r, vals, out=vals)
+        np.subtract(1.0, vals, out=vals)
+        np.multiply(o.c_prime * o.r, t2, out=t2)
+        np.subtract(vals, t2, out=vals)
+        np.maximum(vals, 0.0, out=vals)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        total_sq += float(np.multiply(vals, vals, out=t2).sum())
         left -= block
     mean = total / n_samples
     var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)

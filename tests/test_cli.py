@@ -241,6 +241,15 @@ class TestTheoryCommand:
                           "--m", "400"], capsys)
         assert code == 2
 
+    def test_hypothesis_warnings_one_line_each(self, capsys):
+        code, text, err = run(["theory", "--d", "1000", "--r", "0.5", "--R", "2",
+                               "--m", "400"], capsys)
+        assert code == 0
+        assert "sample size required" in text
+        assert err == (
+            "warning: scale r is below the validity threshold 2 sqrt(2 pi)/(1 - 2 eps)\n"
+            "warning: scale r is below the validity threshold sqrt(2 pi)/(0.57 - pi eps)\n")
+
 
 class TestCheckCommand:
     def test_constants_suite_passes(self, capsys):
@@ -306,9 +315,10 @@ class TestTopLevel:
         assert exc.value.code == 0
 
 
-def test_import_leaves_out_quadrature():
-    code = "import sys, l1svm, l1svm.cli; print('scipy.integrate' in sys.modules)"
+def test_import_leaves_out_scipy():
+    code = ("import sys, l1svm, l1svm.cli; print('scipy.integrate' in sys.modules, "
+            "[k for k in sys.modules if k.startswith('scipy')])")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env)
-    assert out.stdout == "False\n"
+    assert out.stdout == "False []\n"

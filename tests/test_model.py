@@ -1,3 +1,5 @@
+import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,3 +245,51 @@ def test_classifier_csv_header_only_is_zero(tmp_path):
     L.save_classifier(np.zeros(4), path)
     assert path.read_bytes() == b"j,a_j\r\n"
     assert np.array_equal(L.load_classifier(path, 4), np.zeros(4))
+
+
+HEADER = "i,y,x_1,x_2\r\n"
+
+
+@pytest.mark.parametrize("rows,X,y", [
+    ('1,"1","0.5",-2\r\n"2",-1,0.25,"3e-1"\r\n', [[0.5, -2.0], [0.25, 0.3]], [1.0, -1.0]),
+    ("1,1,1_0,2\r\n", [[10.0, 2.0]], [1.0]),
+    ("first,1,0.5,2\r\nsecond,-1,1,3\r\n", [[0.5, 2.0], [1.0, 3.0]], [1.0, -1.0]),
+], ids=["quoted", "underscore", "text_index"])
+def test_training_csv_loader_accepts(tmp_path, rows, X, y):
+    path = tmp_path / "train.csv"
+    path.write_text(HEADER + rows, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T = L.load_training_set(path)
+    assert np.array_equal(T.X, X) and np.array_equal(T.y, y)
+
+
+@pytest.mark.parametrize("rows,error,message", [
+    ("1,1,0.5,2\r\n\r\n2,-1,1,3\r\n", ValueError,
+     "training CSV data row 2 has 0 columns, expected 4"),
+    ("1,1,0.5,2,7\r\n", ValueError, "training CSV data row 1 has 5 columns, expected 4"),
+    ("", ValueError, "empty training CSV"),
+    ("1,1,0.5,abc\r\n", ValueError, "could not convert string to float: 'abc'"),
+    ("1,1,0.5,2\x1c\r\n", ValueError, "could not convert string to float: '2\\x1c'"),
+    ("1,1,0.5," + "0" * 131072 + "1\r\n", csv.Error, "field larger than field limit (131072)"),
+], ids=["blank_line", "extra_column", "header_only", "text_coordinate", "separator_padding",
+        "oversized_field"])
+def test_training_csv_loader_rejects(tmp_path, rows, error, message):
+    path = tmp_path / "train.csv"
+    path.write_text(HEADER + rows, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            L.load_training_set(path)
+    assert str(exc.value) == message
+
+
+def test_training_csv_round_trip_at_cli_scale(tmp_path):
+    gen = L.RngSeed(32).generator()
+    T = L.generate_training_set(L.make_random_classifier(1000, 5, gen), 800, 0.94, gen)
+    path = tmp_path / "train.csv"
+    L.save_training_set(T, path)
+    back = L.load_training_set(path)
+    assert back.X.shape == T.X.shape
+    assert back.X.tobytes() == T.X.tobytes() and back.y.tobytes() == T.y.tobytes()
+    assert back.X.flags.c_contiguous and back.y.flags.c_contiguous

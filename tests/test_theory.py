@@ -272,6 +272,18 @@ class TestMonteCarlo:
         _, s2 = L.monte_carlo_fa(o, 800_000, L.RngSeed(8))
         assert 0.4 < s2 / s1 < 0.6
 
+    @pytest.mark.parametrize("o,n,seed,frozen", [
+        # two full 1M-sample blocks and a partial one
+        (L.OverlapCoords(c=0.6, c_prime=0.8, r=1.5), 2_500_000, L.RngSeed(7),
+         (0.6790661256615046, 0.0005395322794705832)),
+        # one block of fewer than 1M samples
+        (L.OverlapCoords(c=-0.3, c_prime=0.2, r=0.7), 1500, L.RngSeed(3, 2),
+         (1.1700556154657757, 0.004913936053281)),
+    ], ids=["three_blocks", "one_short_block"])
+    def test_frozen_bits(self, o, n, seed, frozen):
+        # values of the version that allocated fresh temporaries per block
+        assert L.monte_carlo_fa(o, n, seed) == frozen
+
 
 class TestMaxNormSandwich:
     @pytest.mark.parametrize("d,lo,hi", [
