@@ -113,6 +113,8 @@ class TrainingSet:
         object.__setattr__(self, "y", y)
         if X.ndim != 2:
             raise ValueError("X must be an m x d matrix")
+        if X.shape[1] < 1:
+            raise ValueError("training set has no coordinates: need d >= 1 columns x_1, ..., x_d")
         finite = np.isfinite(X)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]

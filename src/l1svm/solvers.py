@@ -165,6 +165,8 @@ def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
     if not g.any():
         raise ValueError("labeled sample sum is zero: maximizer undefined")
     w = max_linear_l1_l2(g, R)
+    if not ConstraintSet("l1l2", R).contains(w, tol=1e-8):
+        raise RuntimeError("solver produced an infeasible point")
     value = float(g @ w)
     return SolverResult(
         w_hat=w,

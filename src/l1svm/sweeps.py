@@ -4,12 +4,19 @@ Each sweep fixes everything except one quantity, runs `trials` independent
 instances per grid point and reports mean recovery errors.  Trial t always
 draws from the stream (seed.base, t), so different grid points of one sweep
 see the same noise realizations and paired comparisons are meaningful.
+
+Trials are independent, so `run_sweep` solves them on one spawned worker
+process per CPU the caller may run on, each with one BLAS thread.  A caller
+restricted to one CPU runs them in process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import types
+import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -169,27 +176,85 @@ def _cells(spec: SweepSpec) -> list[_Cell]:
     return cells
 
 
+def _trial(cell: _Cell, base: int, trial: int, cfg: SolverConfig) -> tuple:
+    """Solve and score one trial of a cell: (l2 error, ratio error, iterations, ||a||_1)."""
+    gen = RngSeed(base, cell.stream + trial).generator()
+    a = make_random_classifier(cell.d, cell.s, gen) if cell.a is None else cell.a
+    # unnamed, so that the m x d training set is freed before the estimate is scored
+    res = SOLVERS[cell.method](generate_training_set(a, cell.m, cell.r, gen), a.l1_norm, cfg)
+    err = recovery_error(a, res)
+    return err.l2_error, err.ratio_error, res.iterations, a.l1_norm
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# the thread-count variables of OpenBLAS, OpenMP and MKL, read once as numpy loads
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Set every BLAS thread count to 1 in os.environ, for the processes started inside."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _init_worker(filters: list) -> None:
+    """Give a spawned worker the caller's warning filters, which it does not inherit."""
+    warnings.resetwarnings()
+    warnings.filters.extend(filters)
+
+
+def _map(fn, tasks: list) -> list:
+    """[fn(*task) for task in tasks], in order; on one worker per CPU when there are several.
+
+    Workers are spawned, not forked, and each runs one BLAS thread: two
+    processes that each start BLAS's default thread count oversubscribe the
+    CPUs and are no faster than one.  A worker's exception reaches the caller
+    with its own type, and every worker has exited when this returns.
+    """
+    workers = min(_workers(), len(tasks))
+    if workers < 2:
+        return [fn(*task) for task in tasks]
+    # imported here: they cost about 20 ms, which callers that never sweep need not pay
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(workers, mp_context=get_context("spawn"), initializer=_init_worker,
+                             initargs=(warnings.filters,)) as pool:
+        with _one_blas_thread():  # map submits every task, and the workers start, inside
+            results = pool.map(fn, *zip(*tasks))
+        return list(results)
+
+
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Run `spec.trials` trials in every cell of the sweep; one row per cell.
 
     For a random classifier the R column reports the trial average of ||a||_1.
+    Run from a script, the call needs the `if __name__ == "__main__":` guard,
+    because the worker processes import the script's main module.
     """
     cfg = SolverConfig(max_iters=int(spec.fixed.get("max_iters", 5000)))
+    cells = _cells(spec)
+    n = spec.trials
+    results = _map(_trial, [(c, spec.seed.base, t, cfg) for c in cells for t in range(n)])
     rows = []
-    for c in _cells(spec):
-        errors, ratios, iters, norms = [], [], [], []
-        for trial in range(spec.trials):
-            gen = RngSeed(spec.seed.base, c.stream + trial).generator()
-            a = make_random_classifier(c.d, c.s, gen) if c.a is None else c.a
-            # unnamed, so that each m x d training set is freed before the next is drawn
-            res = SOLVERS[c.method](generate_training_set(a, c.m, c.r, gen), a.l1_norm, cfg)
-            err = recovery_error(a, res)
-            errors.append(err.l2_error)
-            ratios.append(err.ratio_error)
-            iters.append(res.iterations)
-            norms.append(a.l1_norm)
+    for i, c in enumerate(cells):
+        errors, ratios, iters, norms = zip(*results[i * n:(i + 1) * n])
         errs = np.asarray(errors)
-        n = errs.size
         rows.append(SweepRow(
             sweep_value=c.sweep_value, method=c.method, m=c.m, r=c.r, d=c.d, s=c.s,
             R=c.a.l1_norm if c.a is not None else float(np.mean(norms)),

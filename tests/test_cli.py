@@ -147,6 +147,14 @@ class TestSolve:
         assert code == 2
         assert err.strip() == "error: empty training CSV"
 
+    @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
+    def test_no_coordinate_columns_exit_2(self, tmp_path, capsys, method):
+        path = tmp_path / "no_x.csv"
+        path.write_text("i,y\n1,1\n2,-1\n")
+        code, out, err = run(["solve", "--method", method, "--data", str(path), "--R", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: training set has no coordinates: need d >= 1 columns x_1, ..., x_d\n"
+
     @pytest.mark.parametrize("text,message", [
         ("i,y,x_1,x_2\n1,1,0.5,0.2\n2,-1,nan,0.1\n",
          "error: non-finite value nan in X at row 2, column x_1"),
@@ -316,8 +324,9 @@ class TestTopLevel:
 
 
 def test_import_leaves_out_scipy():
-    code = ("import sys, l1svm, l1svm.cli; print('scipy.integrate' in sys.modules, "
-            "[k for k in sys.modules if k.startswith('scipy')])")
+    # nor the process pool's modules, which only a sweep imports
+    code = ("import sys, l1svm, l1svm.cli; print('scipy.integrate' in sys.modules, [k for k in "
+            "sys.modules if k.startswith(('scipy', 'multiprocessing', 'concurrent'))])")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env)

@@ -259,6 +259,14 @@ class TestOneBit:
         with pytest.raises(ValueError):
             L.solve_one_bit_cs(T, 1.0)
 
+    @pytest.mark.parametrize("bad", [[1.4, 0.0, 0.0], [1.05, 0.0, 0.0], [np.nan, 0.0, 0.0]],
+                             ids=["l1", "l2", "nan"])
+    def test_infeasible_maximizer_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(solvers, "max_linear_l1_l2", lambda g, R: np.array(bad))
+        T = L.TrainingSet(X=np.array([[0.3, -2.0, 0.7]]), y=np.array([1.0]), r=1.0)
+        with pytest.raises(RuntimeError, match="infeasible"):
+            L.solve_one_bit_cs(T, 1.3)
+
 
 class TestRecoveryError:
     def setup_method(self):

@@ -1,13 +1,17 @@
 import csv
 import dataclasses
 import math
+import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from l1svm import sweeps
 from l1svm.model import RngSeed
+from l1svm.solvers import SolverConfig
 from l1svm.sweeps import (
     SWEEP_HEADER,
     SweepSpec,
@@ -310,3 +314,46 @@ class TestGoldenOutput:
             emit_bound_overlay(GOLDEN_SPECS["m"], path=path)
         _assert_csv_matches_golden(path, "bounds_m.csv", exact=(
             "d", "s", "R", "r", "m", "eps", "u", "m_required"))
+
+
+class TestWorkerPool:
+    """Trials run on one spawned worker per CPU; `_workers` is patched to pick the path."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(sweeps, "_workers", lambda: n)
+
+    @pytest.mark.parametrize("kind", ["r", "m", "d"])
+    def test_rows_identical_in_process_and_pooled(self, kind, workers, tmp_path):
+        environ = dict(os.environ)
+        workers(1)
+        one = run_sweep(GOLDEN_SPECS[kind])
+        workers(2)
+        two = run_sweep(GOLDEN_SPECS[kind])
+        assert two == one
+        assert multiprocessing.active_children() == []
+        assert dict(os.environ) == environ  # the one-thread BLAS settings are undone
+        write_sweep_rows(two, tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / f"sweep_{kind}.csv").read_bytes()
+
+    def test_workers_run_one_blas_thread(self, workers):
+        workers(2)
+        names = [(name,) for name in sweeps._BLAS_THREADS]
+        assert sweeps._map(os.getenv, names) == ["1"] * len(names)
+
+    def test_worker_exception_keeps_its_type(self, workers):
+        workers(2)
+        good = sweeps._cells(tiny_r_spec())[0]
+        cfg = SolverConfig()
+        tasks = [(dataclasses.replace(good, m=0), 9, 0, cfg), (good, 9, 0, cfg)]
+        with pytest.raises(ValueError, match="need m >= 1"):
+            sweeps._map(sweeps._trial, tasks)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_warning_obeys_caller_filters(self, workers):
+        workers(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="raised in a worker"):
+                sweeps._map(warnings.warn, [("raised in a worker", RuntimeWarning)] * 2)
+        assert multiprocessing.active_children() == []
