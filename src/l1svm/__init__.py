@@ -20,8 +20,8 @@ from .theory import (BoundReport, ConcentrationBound, HypothesisWarning, Overlap
                      thm1_bound, thm2_lower_bound, thm3_error_bound, thm3_failure_prob,
                      thm3_sample_size, thm8_bound, write_bound_reports)
 from .sweeps import (METHODS, SweepRow, SweepSpec, default_d_sweep_spec, default_m_sweep_spec,
-                     default_r_sweep_spec, emit_bound_overlay, enumerate_sweep_points,
-                     run_d_sweep, run_m_sweep, run_r_sweep, run_sweep, write_sweep_rows)
+                     default_r_sweep_spec, emit_bound_overlay, enumerate_sweep_points, run_sweep,
+                     write_sweep_rows)
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "thm3_failure_prob", "thm8_bound", "monte_carlo_fa", "gaussian_max_norm_bounds",
     "bound_report", "write_bound_reports",
     "METHODS", "SweepSpec", "SweepRow", "default_r_sweep_spec",
-    "default_m_sweep_spec", "default_d_sweep_spec", "run_r_sweep", "run_m_sweep",
-    "run_d_sweep", "run_sweep", "enumerate_sweep_points", "emit_bound_overlay",
-    "write_sweep_rows",
+    "default_m_sweep_spec", "default_d_sweep_spec", "run_sweep", "enumerate_sweep_points",
+    "emit_bound_overlay", "write_sweep_rows",
 ]

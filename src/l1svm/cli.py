@@ -105,7 +105,10 @@ def _cmd_solve(args) -> int:
 
 def _parse_grid(text: str, kind: str):
     if ":" in text:
-        a, b, step = (float(x) for x in text.split(":"))
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError(f"grid range {text!r} must be a:b:step")
+        a, b, step = (float(x) for x in parts)
         if step <= 0:
             raise ValueError("grid step must be positive")
         vals = []

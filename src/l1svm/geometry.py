@@ -63,40 +63,47 @@ def project_l2(v, radius: float = 1.0) -> np.ndarray:
     return v.copy() if n <= np.ldexp(radius, -e) else u * (radius / n)
 
 
-def _ratio_level(mags, R: float) -> float:
-    """Level theta at which the soft-thresholded magnitudes (mags - theta)_+ have l1/l2 ratio R.
+def _ratio_depth(mags, R: float) -> float:
+    """Depth tau below the top magnitude at which (tau - (top - mags))_+ has l1/l2 ratio R.
 
-    The ratio is nonincreasing in theta, so at the breakpoints theta = u_{k+1}
-    of the sorted magnitudes u it grows with the active count k; the first k
-    whose ratio reaches R holds the level.  With the k largest entries active
-    the ratio condition is one quadratic in theta, whose smaller root is
-    mean - R sd / sqrt(k - R^2) over those entries.  Where they are all tied
-    the ratio is sqrt(k) = R on the whole interval and its left end is taken.
-    Past the last breakpoint every entry stays active, so theta may fall below
-    0 there.  Needs sqrt(#entries tied at the top) <= R < sqrt(#entries).
+    That is the soft thresholding (mags - theta)_+ at the level theta = top - tau,
+    measured down from the top so that near-tied magnitudes keep their exact
+    differences.  The ratio is nonincreasing in theta, so at the breakpoints
+    theta = u_{k+1} of the sorted magnitudes u it grows with the active count k;
+    the first k whose ratio reaches R holds the level.  The scan's l1 and squared
+    l2 norms at the breakpoints are sums of nonnegative terms in the gaps
+    delta_k = u_k - u_{k+1}, so they cannot cancel.  With the k largest entries
+    active the ratio condition is one quadratic in tau, whose root is
+    mean + R sd / sqrt(k - R^2) over their depths.  Where they are all tied the
+    ratio is sqrt(k) = R on the whole interval and its breakpoint is taken.
+    Past the last breakpoint every entry stays active, so tau may exceed the top
+    there.  Needs sqrt(#entries tied at the top) <= R < sqrt(#entries).
     """
     u = np.sort(mags)[::-1]
     d = u.size
     k_idx = np.arange(1, d + 1)
     below = np.append(u[1:], 0.0)  # breakpoint theta = u_{k+1} for each active count k
-    a1 = np.cumsum(u)
-    l1 = a1 - k_idx * below
-    l2sq = np.cumsum(u * u) - below * (2.0 * a1 - k_idx * below)
+    gap = u - below
+    kgap = k_idx * gap
+    l1 = np.cumsum(kgap)  # sum_{j<=k} (u_j - u_{k+1})
+    l2sq = np.cumsum(gap * (2.0 * np.append(0.0, l1[:-1]) + kgap))  # sum of their squares
     k_top = int(np.count_nonzero(u == u[0]))
     reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
     reach[-1] = True  # the all-active interval runs on below 0
     k = k_top + int(np.argmax(reach))
     if k == k_top or k <= R * R:
-        return float(below[k - 1])
-    top = u[:k]
-    theta = float(top.mean() - R * top.std() / np.sqrt(k - R * R))
+        return float(u[0] - below[k - 1])
+    t = u[0] - u[:k]  # depths of the active entries, exact near the top
+    tau = float(t.mean() + R * t.std() / np.sqrt(k - R * R))
     if k < d:
-        theta = max(theta, float(u[k]))
-    return min(theta, float(u[k - 1]))
+        tau = min(tau, float(u[0] - u[k]))
+    return max(tau, float(t[-1]))
 
 
-def _normalized_soft(v, theta: float) -> np.ndarray:
-    w = np.sign(v) * np.maximum(np.abs(v) - theta, 0.0)
+def _normalized_soft(v, tau: float) -> np.ndarray:
+    """sign(v) (|v| - theta)_+ at unit l2 norm, for the level theta = max|v| - tau."""
+    mags = np.abs(v)
+    w = np.sign(v) * np.maximum(tau - (mags.max() - mags), 0.0)
     return w / np.linalg.norm(w)
 
 
@@ -120,7 +127,7 @@ def project_l1_l2(v, R: float) -> np.ndarray:
         return ball
     # the answer ignores positive scaling; at unit scale its sums of squares stay finite
     v = np.ldexp(v, -_top_exponent(v))
-    return _normalized_soft(v, _ratio_level(np.abs(v), R))
+    return _normalized_soft(v, _ratio_depth(np.abs(v), R))
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:
@@ -132,7 +139,7 @@ def _tie_direction(k: int, R: float) -> np.ndarray:
     if R * R >= k:
         return np.full(k, 1.0 / np.sqrt(k))
     p = np.arange(k, 0, -1, dtype=float)
-    return _normalized_soft(p, _ratio_level(p, R))
+    return _normalized_soft(p, _ratio_depth(p, R))
 
 
 def max_linear_l1_l2(g, R: float) -> np.ndarray:
@@ -163,4 +170,4 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
         w = np.zeros(g.size)
         w[ties] = np.sign(g[ties]) * _tie_direction(ties.size, R)
         return w
-    return _normalized_soft(g, _ratio_level(mags, R))
+    return _normalized_soft(g, _ratio_depth(mags, R))

@@ -53,13 +53,11 @@ class RngSeed:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Accept an RngSeed, a Generator (used as-is), or a plain int base."""
+    """Accept an RngSeed or a Generator (used as-is)."""
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, RngSeed):
         return seed.generator()
-    if isinstance(seed, (int, np.integer)):
-        return RngSeed(int(seed)).generator()
     raise TypeError(f"cannot build a generator from {type(seed).__name__}")
 
 
@@ -100,11 +98,10 @@ class SparseClassifier:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Scaled Gaussian sample matrix with sign labels."""
+    """Sample matrix with sign labels; any data scale r is already folded into X."""
 
     X: np.ndarray
     y: np.ndarray
-    r: float
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -123,8 +120,6 @@ class TrainingSet:
             raise ValueError("y must have one label per row")
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be +1 or -1")
-        if not self.r > 0:
-            raise ValueError("scale r must be positive")
 
     @property
     def m(self) -> int:
@@ -201,7 +196,7 @@ def generate_training_set(a, m: int, r: float, seed) -> TrainingSet:
         bad = np.flatnonzero(z == 0.0)
         Xt[bad] = rng.standard_normal((bad.size, vec.size))
         z[bad] = Xt[bad] @ vec
-    return TrainingSet(X=r * Xt, y=np.sign(z), r=float(r))
+    return TrainingSet(X=r * Xt, y=np.sign(z))
 
 
 def hinge_objective(w, T: TrainingSet) -> float:
@@ -250,7 +245,7 @@ def save_training_set(T: TrainingSet, path) -> None:
 
 
 def load_training_set(path) -> TrainingSet:
-    """Read a training CSV.  The scale is already folded into X, so r is 1."""
+    """Read a training CSV."""
     data = _parse_training_fast(path)
     if data is None:  # the row path loads the file or raises today's message for it
         # parsed row by row (column i is not read), so no file-sized list of strings is kept
@@ -260,7 +255,7 @@ def load_training_set(path) -> TrainingSet:
             raise ValueError("empty training CSV")
         data = np.array(rows)
     # contiguous copies: a strided y would take another BLAS path and change the last bits
-    return TrainingSet(X=data[:, 1:].copy(), y=data[:, 0].copy(), r=1.0)
+    return TrainingSet(X=data[:, 1:].copy(), y=data[:, 0].copy())
 
 
 def _is_training_header(header) -> bool:

@@ -39,7 +39,6 @@ class SolverConfig:
 class SolverResult:
     w_hat: np.ndarray
     objective: float
-    trace: np.ndarray  # objective at each visited iterate
     iterations: int
     converged: bool
     objective_kind: str = "hinge"  # "linear" for the sign-measurement baseline
@@ -48,9 +47,7 @@ class SolverResult:
 @dataclass(frozen=True)
 class RecoveryError:
     l2_error: float  # ||a - w/||w||_2||_2
-    ratio_error: float  # l2_error / cosine, +inf when the cosine is not positive
-    cosine: float  # <a, w/||w||_2>
-    raw_l2: float  # ||a - w||_2, no normalization
+    ratio_error: float  # l2_error / <a, w/||w||_2>, +inf when that cosine is not positive
 
 
 # the solve stops once the best objective has improved by less than _TOL
@@ -97,7 +94,6 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
     best_w = w
     best_f = np.inf
     best_hist = []
-    trace = []
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
@@ -106,7 +102,6 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
         f = float(np.mean(np.maximum(margins, 0.0)))
         if not np.isfinite(f):
             raise FloatingPointError(f"hinge objective {_OVERFLOW}")
-        trace.append(f)
         if f < best_f:
             best_f = f
             best_w = w.copy()
@@ -124,7 +119,7 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
         if not finite:
             raise FloatingPointError(f"subgradient step {_OVERFLOW}")
         w = project(z, R)
-    return best_w, best_f, np.asarray(trace), k, converged
+    return best_w, best_f, k, converged
 
 
 def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, project):
@@ -136,11 +131,10 @@ def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, projec
         raise ValueError("need R >= 1")
     if T.m < 1:
         raise ValueError("empty training set")
-    w_hat, f_hat, trace, iters, converged = _projected_subgradient(T, R, cfg.max_iters, project)
+    w_hat, f_hat, iters, converged = _projected_subgradient(T, R, cfg.max_iters, project)
     if not ConstraintSet(kind, R).contains(w_hat, tol=1e-8):
         raise RuntimeError("solver produced an infeasible point")
-    return SolverResult(w_hat=w_hat, objective=f_hat, trace=trace, iterations=iters,
-                        converged=converged)
+    return SolverResult(w_hat=w_hat, objective=f_hat, iterations=iters, converged=converged)
 
 
 def solve_l1_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
@@ -167,15 +161,8 @@ def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
     w = max_linear_l1_l2(g, R)
     if not ConstraintSet("l1l2", R).contains(w, tol=1e-8):
         raise RuntimeError("solver produced an infeasible point")
-    value = float(g @ w)
-    return SolverResult(
-        w_hat=w,
-        objective=value,
-        trace=np.array([value]),
-        iterations=0,
-        converged=True,
-        objective_kind="linear",
-    )
+    return SolverResult(w_hat=w, objective=float(g @ w), iterations=0, converged=True,
+                        objective_kind="linear")
 
 
 # method name -> solver(T, R, cfg), module-level so that wrapping a solver function also
@@ -195,9 +182,4 @@ def recovery_error(a, result) -> RecoveryError:
     cosine = float(np.clip(vec @ u, -1.0, 1.0))
     l2_error = float(np.linalg.norm(vec - u))
     ratio = l2_error / cosine if cosine > 0.0 else float("inf")
-    return RecoveryError(
-        l2_error=l2_error,
-        ratio_error=ratio,
-        cosine=cosine,
-        raw_l2=float(np.linalg.norm(vec - w)),
-    )
+    return RecoveryError(l2_error=l2_error, ratio_error=ratio)

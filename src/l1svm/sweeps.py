@@ -35,9 +35,6 @@ __all__ = [
     "default_r_sweep_spec",
     "default_m_sweep_spec",
     "default_d_sweep_spec",
-    "run_r_sweep",
-    "run_m_sweep",
-    "run_d_sweep",
     "run_sweep",
     "enumerate_sweep_points",
     "emit_bound_overlay",
@@ -47,11 +44,12 @@ __all__ = [
 
 METHODS = tuple(SOLVERS)
 
-# the `fixed` options each sweep kind reads; any other key is rejected
-_FIXED_KEYS = {
-    "r": ("d", "m_values", "max_iters"),
-    "m": ("d", "r_fixed", "max_iters"),
-    "d": ("s", "m_multipliers", "r", "max_iters"),
+# the `fixed` options each sweep kind reads, with their defaults; any other key is
+# rejected.  The d sweep's r of None means r = sqrt(m)/30 at each sample count.
+_OPTIONS = {
+    "r": {"d": 1000, "m_values": (200, 400), "max_iters": 5000},
+    "m": {"d": 1000, "r_fixed": 0.75, "max_iters": 5000},
+    "d": {"s": 5, "m_multipliers": (10, 20, 40), "r": None, "max_iters": 5000},
 }
 
 
@@ -65,13 +63,11 @@ class SweepSpec:
     methods: tuple = ("l1_svm", "l1l2_svm")
 
     def __post_init__(self):
-        if self.kind not in ("r", "m", "d"):
+        if self.kind not in _OPTIONS:
             raise ValueError("kind must be 'r', 'm' or 'd'")
         grid = tuple(self.grid)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "methods", tuple(self.methods))
-        # read-only, so that no key can join after the per-kind check below
-        object.__setattr__(self, "fixed", types.MappingProxyType(dict(self.fixed)))
         if len(grid) == 0:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -83,9 +79,12 @@ class SweepSpec:
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
-        unused = sorted(set(self.fixed) - set(_FIXED_KEYS[self.kind]))
+        options = _OPTIONS[self.kind]
+        unused = sorted(set(self.fixed) - set(options))
         if unused:
             raise ValueError(f"sweep kind {self.kind!r} does not use option(s) {', '.join(unused)}")
+        # every option filled in, and read-only, so that no key can join after the check above
+        object.__setattr__(self, "fixed", types.MappingProxyType({**options, **self.fixed}))
 
 
 @dataclass(frozen=True)
@@ -106,26 +105,27 @@ class SweepRow:
 
 
 def default_r_sweep_spec(trials: int = 20, seed: RngSeed = RngSeed(0), **fixed) -> SweepSpec:
+    """Error versus data scale r, fixed benchmark classifier, one series per m."""
     grid = tuple(round(0.05 * k, 10) for k in range(1, 31))
-    cfg = {"d": 1000, "m_values": (200, 400)}
-    cfg.update(fixed)
-    return SweepSpec(kind="r", grid=grid, trials=trials, fixed=cfg, seed=seed,
+    return SweepSpec(kind="r", grid=grid, trials=trials, fixed=fixed, seed=seed,
                      methods=("l1_svm", "l1l2_svm"))
 
 
 def default_m_sweep_spec(trials: int = 40, seed: RngSeed = RngSeed(0), **fixed) -> SweepSpec:
-    grid = tuple(range(50, 801, 50))
-    cfg = {"d": 1000, "r_fixed": 0.75}
-    cfg.update(fixed)
-    return SweepSpec(kind="m", grid=grid, trials=trials, fixed=cfg, seed=seed,
-                     methods=("l1_svm", "l1l2_svm", "one_bit_cs"))
+    """Error versus sample count m.
+
+    Four series: the l1 solver at fixed r, the l1 solver at r = sqrt(m)/30,
+    the intersected solver at r = sqrt(m)/30, and the sign-measurement
+    baseline (whose maximizer does not depend on r at all).
+    """
+    return SweepSpec(kind="m", grid=tuple(range(50, 801, 50)), trials=trials, fixed=fixed,
+                     seed=seed, methods=("l1_svm", "l1l2_svm", "one_bit_cs"))
 
 
 def default_d_sweep_spec(trials: int = 60, seed: RngSeed = RngSeed(0), **fixed) -> SweepSpec:
-    cfg = {"s": 5, "m_multipliers": (10, 20, 40)}
-    cfg.update(fixed)
+    """Error versus dimension d at m = multiplier * log(d), fresh random classifier per trial."""
     return SweepSpec(kind="d", grid=(100, 200, 500, 1000, 2000, 3000), trials=trials,
-                     fixed=cfg, seed=seed, methods=("l1_svm",))
+                     fixed=fixed, seed=seed, methods=("l1_svm",))
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,8 @@ def _cells(spec: SweepSpec) -> list[_Cell]:
     """Every cell of a sweep in row order; the one place each kind's grid is worked out."""
     fixed = spec.fixed
     if spec.kind == "d":
-        s = int(fixed.get("s", 5))
-        mults = tuple(fixed.get("m_multipliers", (10, 20, 40)))
+        s = int(fixed["s"])
+        mults = tuple(fixed["m_multipliers"])
         cells = []
         for di, d in enumerate(spec.grid):
             d = int(d)
@@ -155,17 +155,16 @@ def _cells(spec: SweepSpec) -> list[_Cell]:
                 raise ValueError(f"d={d} smaller than sparsity {s}")
             for mi, mult in enumerate(mults):
                 m = round(mult * math.log(d))
-                r = float(fixed["r"]) if fixed.get("r") is not None else math.sqrt(m) / 30.0
+                r = float(fixed["r"]) if fixed["r"] is not None else math.sqrt(m) / 30.0
                 stream = spec.trials * (mi + len(mults) * di)
                 cells += [_Cell(float(d), method, m, r, d, s, None, stream)
                           for method in spec.methods]
         return cells
-    a = benchmark_classifier(int(fixed.get("d", 1000)))
+    a = benchmark_classifier(int(fixed["d"]))
     if spec.kind == "r":
         return [_Cell(float(r), method, int(m), float(r), a.d, a.s, a, 0)
-                for r in spec.grid for m in fixed.get("m_values", (200, 400))
-                for method in spec.methods]
-    r_fixed = float(fixed.get("r_fixed", 0.75))
+                for r in spec.grid for m in fixed["m_values"] for method in spec.methods]
+    r_fixed = float(fixed["r_fixed"])
     cells = []
     for m in spec.grid:
         m = int(m)
@@ -247,7 +246,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     Run from a script, the call needs the `if __name__ == "__main__":` guard,
     because the worker processes import the script's main module.
     """
-    cfg = SolverConfig(max_iters=int(spec.fixed.get("max_iters", 5000)))
+    cfg = SolverConfig(max_iters=int(spec.fixed["max_iters"]))
     cells = _cells(spec)
     n = spec.trials
     results = _map(_trial, [(c, spec.seed.base, t, cfg) for c in cells for t in range(n)])
@@ -263,36 +262,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             trials_used=n, mean_solver_iters=float(np.mean(iters)), trial_l2_errors=tuple(errs),
         ))
     return rows
-
-
-def run_r_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Error versus data scale r, fixed benchmark classifier, one series per m."""
-    if spec.kind != "r":
-        raise ValueError("spec.kind must be 'r'")
-    return run_sweep(spec)
-
-
-def run_m_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Error versus sample count m.
-
-    Four series: the l1 solver at fixed r, the l1 solver at r = sqrt(m)/30,
-    the intersected solver at r = sqrt(m)/30, and the sign-measurement
-    baseline (whose maximizer does not depend on r at all).
-    """
-    if spec.kind != "m":
-        raise ValueError("spec.kind must be 'm'")
-    return run_sweep(spec)
-
-
-def run_d_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Error versus dimension d at m = multiplier * log(d), fresh random classifier per trial.
-
-    The R column reports the trial average of ||a||_1 since the classifier is
-    redrawn each time.
-    """
-    if spec.kind != "d":
-        raise ValueError("spec.kind must be 'd'")
-    return run_sweep(spec)
 
 
 def enumerate_sweep_points(spec: SweepSpec) -> list[dict]:

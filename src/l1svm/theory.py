@@ -156,14 +156,19 @@ class ConcentrationBound:
     failure_prob: float  # probability the bound fails, clipped into [0, 1]
 
 
+def _require_positive_finite(**params) -> None:
+    for name, value in params.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def thm1_bound(d: int, m: int, r: float, R: float, u: float) -> ConcentrationBound:
     """Uniform deviation bound for the hinge loss over the l1 ball."""
     if d < 2:
         raise ValueError("need d >= 2")
     if m < 1:
         raise ValueError("need m >= 1")
-    if not (r > 0 and R > 0 and u > 0):
-        raise ValueError("r, R, u must be positive")
+    _require_positive_finite(r=r, R=R, u=u)
     root = math.sqrt(2.0 * math.log(2.0 * d))
     sqrt_m = math.sqrt(m)
     mu = (4.0 * math.sqrt(8.0 * math.pi) + 8.0 * r * R * root) / sqrt_m
@@ -193,12 +198,11 @@ def _check_thm3_range(eps: float, r: float) -> None:
 
 def thm3_sample_size(eps: float, r: float, R: float, d: int, t: float = 1.0) -> int:
     """Samples sufficient for recovery error eps: ceil(4 eps^-2 (8 sqrt(8 pi) + (18+t) r R sqrt(2 log 2d))^2)."""
-    if not (eps > 0 and r > 0 and R > 0):
-        raise ValueError("eps, r, R must be positive")
+    _require_positive_finite(eps=eps, r=r, R=R)
     if d < 2:
         raise ValueError("need d >= 2")
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     _check_thm3_range(eps, r)
     root = math.sqrt(2.0 * math.log(2.0 * d))
     base = 8.0 * math.sqrt(8.0 * math.pi) + (18.0 + t) * r * R * root
@@ -232,7 +236,9 @@ def thm8_bound(eps: float, r: float) -> float:
     elif r <= 2.0 * _SQRT_2PI / (1.0 - 2.0 * eps):
         warnings.warn("scale r is below the validity threshold 2 sqrt(2 pi)/(1 - 2 eps)",
                       HypothesisWarning, stacklevel=2)
-    return math.sqrt(math.pi / 2.0) * eps / (r * (1.0 - math.exp(-1.0 / (2.0 * r * r))))
+    # 1 - e^{-x} by subtraction loses digits as x = 1/(2 r^2) shrinks, and is exactly 0
+    # from r = 9.5e7 on, where the bound would divide by zero
+    return math.sqrt(math.pi / 2.0) * eps / (r * -math.expm1(-1.0 / (2.0 * r * r)))
 
 
 def monte_carlo_fa(o: OverlapCoords, n_samples: int, seed) -> tuple[float, float]:

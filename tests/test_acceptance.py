@@ -26,8 +26,7 @@ from l1svm import (
 from l1svm.checks import lemma7_suite, projections_suite, thm2_suite
 from l1svm.model import TrainingSet
 from l1svm.oracles import angle_max_linear
-from l1svm.sweeps import (SweepSpec, default_m_sweep_spec, run_d_sweep, run_m_sweep,
-                          run_r_sweep)
+from l1svm.sweeps import SweepSpec, default_m_sweep_spec, run_sweep
 
 SEED = RngSeed(314159)
 
@@ -112,7 +111,7 @@ def test_criterion_06_sign_baseline_matches_angle_oracle(announce):
         res = solve_one_bit_cs(T, 1.3)
         w_ref = angle_max_linear(T.y @ T.X, 1.3)
         worst_gap = max(worst_gap, float(np.linalg.norm(res.w_hat - w_ref)))
-        scaled = solve_one_bit_cs(TrainingSet(X=10.0 * T.X, y=T.y, r=10.0 * T.r), 1.3)
+        scaled = solve_one_bit_cs(TrainingSet(X=10.0 * T.X, y=T.y), 1.3)
         worst_rescale = max(worst_rescale,
                             float(np.abs(scaled.w_hat - res.w_hat).max()))
     ok = worst_gap <= 1e-4 and worst_rescale <= 1e-12
@@ -133,7 +132,7 @@ def test_criterion_07_small_scale_advantage_and_sample_monotonicity(announce):
     spec = SweepSpec(kind="r", grid=grid, trials=10, seed=RngSeed(1),
                      fixed={"d": 300, "m_values": (200, 400)},
                      methods=("l1_svm", "l1l2_svm"))
-    rows = run_r_sweep(spec)
+    rows = run_sweep(spec)
     err = {(row.m, row.method, row.sweep_value): row.mean_l2_error for row in rows}
     small = [r for r in grid if r <= 0.45 + 1e-12]
     advantage_viol = {
@@ -165,7 +164,7 @@ def test_criterion_08_fixed_scale_stalls_while_intersection_halves_error(announc
         f"{math.sqrt(m_final) / 30.0:.4f} does not exceed r_fixed = {r_fixed}")
     spec = SweepSpec(kind="m", grid=(m_final,), trials=paper.trials, seed=SEED,
                      fixed=paper.fixed, methods=("l1_svm", "l1l2_svm"))
-    rows = run_m_sweep(spec)
+    rows = run_sweep(spec)
     final_fixed = next(row.mean_l2_error for row in rows
                        if row.method == "l1_svm" and row.r == r_fixed)
     final_l1l2 = next(row.mean_l2_error for row in rows if row.method == "l1l2_svm")
@@ -185,7 +184,7 @@ def test_criterion_09_log_dimension_flatness(announce):
     t0 = time.perf_counter()
     spec = SweepSpec(kind="d", grid=(100, 300, 1000), trials=20, seed=SEED,
                      fixed={"s": 5, "m_multipliers": (10, 40)}, methods=("l1_svm",))
-    rows = run_d_sweep(spec)
+    rows = run_sweep(spec)
     by_mult = {10: {}, 40: {}}
     for row in rows:
         mult = round(row.m / math.log(row.d))

@@ -115,7 +115,7 @@ class TestSolve:
         X = scale * rng.standard_normal((20, 10))
         y = np.where(rng.uniform(size=20) < 0.5, -1.0, 1.0)
         path = tmp_path / "huge.csv"
-        save_training_set(TrainingSet(X=X, y=y, r=1.0), path)
+        save_training_set(TrainingSet(X=X, y=y), path)
         return path
 
     @pytest.mark.parametrize("method", ["l1", "l1l2"])
@@ -221,6 +221,14 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:0.5:1"])
+    def test_range_without_three_parts_exit_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "s.csv"
+        code, _, err = run(["sweep", "--kind", "r", "--grid", grid, "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"error: grid range '{grid}' must be a:b:step\n"
+        assert not out.exists()
+
 
 class TestTheoryCommand:
     ARGS = ["theory", "--d", "1000", "--r", "25", "--R", "2.2360679774997896",
@@ -248,6 +256,19 @@ class TestTheoryCommand:
         code, _, _ = run(["theory", "--d", "1", "--r", "25", "--R", "2.0",
                           "--m", "400"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--r", "--R"])
+    def test_non_finite_scale_or_radius_exit_2(self, capsys, flag):
+        args = {"--d": "1000", "--r": "1", "--R": "2", "--m": "100", flag: "inf"}
+        code, _, err = run(["theory", *(x for kv in args.items() for x in kv)], capsys)
+        assert code == 2
+        assert err == f"error: {flag[2:]} must be positive and finite, got inf\n"
+
+    def test_non_finite_sharpening_exit_2(self, capsys):
+        code, _, err = run(["theory", "--d", "1000", "--r", "30", "--R", "2", "--m", "100",
+                            "--t", "inf"], capsys)
+        assert code == 2
+        assert err == "error: t must be nonnegative and finite, got inf\n"
 
     def test_hypothesis_warnings_one_line_each(self, capsys):
         code, text, err = run(["theory", "--d", "1000", "--r", "0.5", "--R", "2",

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l1svm import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
-from l1svm.geometry import _ratio_level
+from l1svm.geometry import _ratio_depth
 from l1svm.oracles import angle_max_linear, grid_project
 
 
@@ -186,6 +186,79 @@ def _random_case(rng):
     return v, R
 
 
+def _bisection_soft(v, R):
+    """Reference for the level where both constraints bind: bisect its depth below max|v|.
+
+    The l1/l2 ratio of (tau - (max|v| - |v|))_+ grows with the depth tau; depths
+    measured down from the top keep near-tied entries apart.  Returns the
+    normalized soft thresholding at the depth found.
+    """
+    mags = np.abs(v)
+    t = mags.max() - mags
+    lo, hi = 0.0, 2.0 * mags.max()
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        q = np.maximum(mid - t, 0.0)
+        if q.sum() > R * np.linalg.norm(q):
+            hi = mid
+        else:
+            lo = mid
+    q = np.maximum(lo - t, 0.0)
+    return np.sign(v) * q / np.linalg.norm(q)
+
+
+def _near_tied_case(rng):
+    """2-19 top magnitudes within a relative 1e-12 to 1e-5 of each other, above Gaussian entries."""
+    d = int(rng.integers(20, 1001))
+    v = rng.standard_normal(d)
+    n = int(rng.integers(2, 20))
+    top = np.abs(v).max() * rng.uniform(1.0, 4.0)
+    spread = 10.0 ** rng.uniform(-12.0, -5.0)
+    idx = rng.choice(d, n, replace=False)
+    v[idx] = top * (1.0 - spread * rng.uniform(0.0, 1.0, n)) * rng.choice([-1.0, 1.0], n)
+    v[idx[0]] = top
+    R = float(rng.uniform(1.0, np.abs(v).sum() / np.linalg.norm(v)))
+    return v, R
+
+
+class TestNearTies:
+    """Top magnitudes that nearly, but not exactly, tie: the scan must not cancel."""
+
+    def test_repro(self):
+        g = np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5])
+        w = max_linear_l1_l2(g, 1.3)
+        assert g @ w == pytest.approx(1.3, abs=1e-8)  # exact ties give 1.3; e_1 gives 1.0
+        assert abs(np.abs(w).sum() - 1.3) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_maximizer_matches_bisection(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        for _ in range(60):
+            g, R = _near_tied_case(rng)
+            w = max_linear_l1_l2(g, R)
+            ref = g @ _bisection_soft(g, R)
+            assert abs(g @ w - ref) <= 1e-12 * abs(ref)
+            assert abs(np.abs(w).sum() - R) <= 1e-12
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_projection_matches_bisection(self, seed):
+        rng = np.random.default_rng(1200 + seed)
+        both = 0
+        for _ in range(60):
+            v, R = _near_tied_case(rng)
+            v *= rng.uniform(0.5, 20.0)
+            if np.linalg.norm(project_l1(v, R)) <= 1.0 or np.abs(project_l2(v)).sum() <= R:
+                continue  # a single-ball projection lands in the intersection
+            both += 1
+            w = project_l1_l2(v, R)
+            assert abs(np.abs(w).sum() - R) <= 1e-12
+            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+            ref = _bisection_soft(v, R)
+            assert np.linalg.norm(v - w) <= np.linalg.norm(v - ref) + 1e-12
+        assert both >= 30
+
+
 class TestExactKernel:
     """Exact optimality of the sort-and-scan kernel where both constraints are tight."""
 
@@ -239,18 +312,18 @@ class TestExactKernel:
             u = np.abs(u)
             if not u.any():
                 continue
-            theta = _ratio_level(u, R)
-            q = np.maximum(u - theta, 0.0)
+            tau = _ratio_depth(u, R)
+            q = np.maximum(tau - (u.max() - u), 0.0)
             assert abs(q.sum() - R * np.linalg.norm(q)) <= 1e-12 * q.sum()
 
     def test_R_squared_equals_active_count(self):
         # four tied leaders at R = 2: k - R^2 = 0 on the interval the scan picks
         u = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
         with np.errstate(all="raise"):
-            theta = _ratio_level(u, 2.0)
+            tau = _ratio_depth(u, 2.0)
             w = max_linear_l1_l2(u, 2.0)
             res = project_l1_l2(2.0 * u, 2.0)
-        assert 0.5 <= theta < 1.0
+        assert 0.0 < tau <= 0.5  # the level 1 - tau is in [0.5, 1)
         assert_allclose(w, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
         assert_allclose(res, [0.5, 0.5, 0.5, 0.5, 0.0], atol=1e-15)
 
@@ -265,7 +338,7 @@ class TestExactKernel:
             assert abs(np.abs(res).sum() - 1.6) <= 1e-12 * 1.6
             assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
             assert np.linalg.norm(res - _dykstra(v, 1.6)) <= 1e-9
-            assert _ratio_level(np.array([2.0, 2.0, 2.0]), np.sqrt(3.0)) == 0.0
+            assert _ratio_depth(np.array([2.0, 2.0, 2.0]), np.sqrt(3.0)) == 2.0  # level 0
 
     def test_unit_radius(self):
         rng = np.random.default_rng(900)
@@ -283,9 +356,9 @@ class TestExactKernel:
         with np.errstate(all="raise"):
             assert_allclose(project_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
             assert_allclose(max_linear_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
-            theta = _ratio_level(np.abs(v), 1.5)
-        assert np.isfinite(theta)
-        assert_allclose(np.sign(v) * np.maximum(np.abs(v) - theta, 0.0), [0, 0, -5.0 + theta, 0])
+            tau = _ratio_depth(np.abs(v), 1.5)
+        assert np.isfinite(tau)
+        assert_allclose(np.sign(v) * np.maximum(tau - (5.0 - np.abs(v)), 0.0), [0, 0, -tau, 0])
 
     @pytest.mark.parametrize("d", [2, 7, 1000])
     def test_all_equal_vector_at_sqrt_d(self, d):
@@ -294,7 +367,7 @@ class TestExactKernel:
         with np.errstate(all="raise"):
             assert_allclose(project_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
             assert_allclose(max_linear_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
-            assert _ratio_level(v, R) == 0.0
+            assert _ratio_depth(v, R) == 2.0  # level 0
 
 
 class TestHugeScale:

@@ -77,14 +77,14 @@ def test_hinge_objective_zero_vector_is_one():
 def test_hinge_objective_vanishes_beyond_margin():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0])
-    T = L.TrainingSet(X=X, y=y, r=1.0)
+    T = L.TrainingSet(X=X, y=y)
     assert L.hinge_objective(np.array([2.0, -2.0]), T) == 0.0
 
 
 def test_hinge_objective_hand_value():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([1.0, -1.0])
-    T = L.TrainingSet(X=X, y=y, r=1.0)
+    T = L.TrainingSet(X=X, y=y)
     assert L.hinge_objective(np.array([0.5, 0.25]), T) == pytest.approx(0.875, abs=1e-15)
 
 
@@ -122,7 +122,7 @@ def test_hinge_objective_scale_equivalence():
     """Scaling the data by r equals scaling the argument by r."""
     a = L.make_random_classifier(25, 4, L.RngSeed(12))
     base = L.generate_training_set(a, 50, 1.0, L.RngSeed(12, 0))
-    scaled = L.TrainingSet(X=3.5 * base.X, y=base.y, r=3.5)
+    scaled = L.TrainingSet(X=3.5 * base.X, y=base.y)
     rng = np.random.default_rng(2)
     for _ in range(10):
         w = rng.standard_normal(25)
@@ -173,6 +173,15 @@ def test_rng_seed_streams_are_independent():
     assert not np.allclose(g0, g1)
 
 
+def test_as_generator_takes_a_seed_or_a_generator_only():
+    gen = np.random.default_rng(1)
+    assert L.as_generator(gen) is gen
+    assert L.as_generator(L.RngSeed(3, 2)).random() == L.RngSeed(3, 2).generator().random()
+    for bad in (7, np.int64(7), None):
+        with pytest.raises(TypeError, match="cannot build a generator"):
+            L.as_generator(bad)
+
+
 @pytest.mark.parametrize("text", ["", "i,y,x_1,x_2\n"])
 def test_training_set_csv_empty_rejected(tmp_path, text):
     path = tmp_path / "train.csv"
@@ -195,7 +204,7 @@ def test_training_set_rejects_non_finite(bad):
     X[1, 2] = bad
     X[2, 0] = bad  # only the first bad cell, in row-major order, is named
     with pytest.raises(ValueError, match=r"non-finite .* row 2, column x_3$"):
-        L.TrainingSet(X=X, y=np.ones(3), r=1.0)
+        L.TrainingSet(X=X, y=np.ones(3))
 
 
 def test_training_set_csv_ragged_rejected(tmp_path):

@@ -17,7 +17,7 @@ def _instance(d, s, m, r, seed):
 
 
 def test_single_sample_exact_recovery():
-    T = L.TrainingSet(X=np.array([[1.0, 0.0]]), y=np.array([1.0]), r=1.0)
+    T = L.TrainingSet(X=np.array([[1.0, 0.0]]), y=np.array([1.0]))
     res = L.solve_l1_svm(T, 1.0)
     assert_allclose(res.w_hat, [1.0, 0.0], atol=1e-12)
     assert res.objective == 0.0
@@ -29,13 +29,13 @@ def test_separable_margins_reach_zero_objective():
     X = rng.standard_normal((20, 5)) * 0.1
     X[:, 0] = 3.0  # every row strongly aligned with e_1
     y = np.ones(20)
-    T = L.TrainingSet(X=X, y=y, r=1.0)
+    T = L.TrainingSet(X=X, y=y)
     res = L.solve_l1_svm(T, 1.5)
     assert res.objective < 1e-9
 
 
 def test_l1l2_single_sample_zero_objective():
-    T = L.TrainingSet(X=np.array([[2.0, 0.0]]), y=np.array([1.0]), r=1.0)
+    T = L.TrainingSet(X=np.array([[2.0, 0.0]]), y=np.array([1.0]))
     res = L.solve_l1_l2_svm(T, 1.0)
     assert res.objective == 0.0
     assert np.abs(res.w_hat).sum() <= 1.0 + 1e-8
@@ -51,12 +51,54 @@ def test_l1l2_agrees_when_l1_solution_is_small():
         assert abs(res1.objective - res2.objective) < 1e-3
 
 
-def test_best_objective_prefix_is_monotone():
+def _record_iterates(monkeypatch, name):
+    """Wrap solvers.<name> so that every iterate a solve visits is kept, w = 0 first.
+
+    The projection's output is the next iterate; the one made on the last,
+    capped iteration is never visited, so `visited` drops it.
+    """
+    inner = getattr(solvers, name)
+    out = []
+
+    def recording(z, R):
+        w = inner(z, R)
+        out.append(w)
+        return w
+
+    monkeypatch.setattr(solvers, name, recording)
+
+    def visited(res):
+        assert len(out) == res.iterations - res.converged
+        return [np.zeros(res.w_hat.size)] + out[:res.iterations - 1]
+
+    return visited
+
+
+def _assert_best_iterate(res, iterates, T):
+    """objective and w_hat are the least hinge objective over the iterates, and its first minimizer.
+
+    The solver sums the margins in another order than hinge_objective, so the
+    two values of one iterate may differ by rounding, about 1e-16 here.  Where
+    the iterates settle on one point up to rounding, that rounding can also
+    decide which of them the solver keeps, so w_hat is compared with the first
+    minimizer to 1e-12.
+    """
+    f = np.array([L.hinge_objective(w, T) for w in iterates])
+    assert res.objective == pytest.approx(f.min(), abs=1e-14)
+    assert any(np.array_equal(res.w_hat, w) for w in iterates)
+    first = int(np.argmax(f <= f.min() + 1e-14))
+    assert_allclose(res.w_hat, iterates[first], rtol=0, atol=1e-12)
+
+
+def test_best_objective_prefix_is_monotone(monkeypatch):
     a, T = _instance(d=25, s=3, m=60, r=1.0, seed=22)
+    visited = _record_iterates(monkeypatch, "project_l1")
     res = L.solve_l1_svm(T, a.l1_norm)
-    prefix_best = np.minimum.accumulate(res.trace)
+    iterates = visited(res)
+    prefix_best = np.minimum.accumulate([L.hinge_objective(w, T) for w in iterates])
     assert np.all(np.diff(prefix_best) <= 0)
-    assert res.objective == prefix_best[-1]
+    assert res.objective == pytest.approx(prefix_best[-1], abs=1e-14)
+    _assert_best_iterate(res, iterates, T)
 
 
 @pytest.mark.parametrize("solver,kind", [(L.solve_l1_svm, "l1"), (L.solve_l1_l2_svm, "l1l2")])
@@ -91,7 +133,7 @@ def test_tiny_instances_match_grid_search(trial, monkeypatch):
     m = int(rng.integers(1, 6))
     X = rng.standard_normal((m, 2))
     y = np.where(rng.uniform(size=m) < 0.5, -1.0, 1.0)
-    T = L.TrainingSet(X=X, y=y, r=1.0)
+    T = L.TrainingSet(X=X, y=y)
     R = float(rng.uniform(1.0, 2.0))
     cfg = L.SolverConfig(max_iters=15000)
     got = L.solve_l1_svm(T, R, cfg).objective
@@ -116,7 +158,7 @@ def test_non_finite_objective_raises():
     rng = np.random.default_rng(7)
     X = 1e260 * rng.standard_normal((20, 10))
     y = np.where(rng.uniform(size=20) < 0.5, -1.0, 1.0)
-    T = L.TrainingSet(X=X, y=y, r=1.0)
+    T = L.TrainingSet(X=X, y=y)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="overflowed"):
             L.solve_l1_svm(T, 1e100, L.SolverConfig(max_iters=50))
@@ -131,22 +173,22 @@ def test_config_validation():
 
 
 def _dense_projected_subgradient(T, R, cfg, project):
-    """Reference loop: both m x d products in full at every iteration."""
+    """Reference loop: both m x d products in full at every iteration; keeps every iterate."""
     m, d = T.X.shape
     YX = T.y[:, None] * T.X
     w = np.zeros(d)
     best_w = w
     best_f = np.inf
     best_hist = []
-    trace = []
+    iterates = []
     converged = False
     k = 0
     for k in range(1, cfg.max_iters + 1):
+        iterates.append(w)
         margins = 1.0 - YX @ w
         f = float(np.mean(np.maximum(margins, 0.0)))
         if not np.isfinite(f):
             raise FloatingPointError("objective overflowed")
-        trace.append(f)
         if f < best_f:
             best_f = f
             best_w = w.copy()
@@ -158,39 +200,45 @@ def _dense_projected_subgradient(T, R, cfg, project):
         active = margins > 0.0
         grad = -(YX.T @ active.astype(float)) / m
         w = project(w - (R / np.sqrt(k)) * grad, R)
-    return best_w, best_f, np.asarray(trace), k, converged
+    return best_w, best_f, iterates, k, converged
 
 
-_SOLVERS = {"l1": (L.solve_l1_svm, project_l1), "l1l2": (L.solve_l1_l2_svm, project_l1_l2)}
+_SOLVERS = {"l1": (L.solve_l1_svm, "project_l1", project_l1),
+            "l1l2": (L.solve_l1_l2_svm, "project_l1_l2", project_l1_l2)}
 
 
-def _assert_matches_dense(kind, T, R, cfg):
-    solver, proj = _SOLVERS[kind]
+def _assert_matches_dense(kind, T, R, cfg, monkeypatch):
+    solver, name, proj = _SOLVERS[kind]
+    visited = _record_iterates(monkeypatch, name)
     res = solver(T, R, cfg)
-    w_hat, f_hat, trace, iters, converged = _dense_projected_subgradient(T, R, cfg, proj)
+    w_hat, f_hat, iterates, iters, converged = _dense_projected_subgradient(T, R, cfg, proj)
     assert res.iterations == iters
     assert res.converged == converged
     assert_allclose(res.w_hat, w_hat, rtol=0, atol=1e-10)
     assert res.objective == pytest.approx(f_hat, abs=1e-10)
-    assert_allclose(res.trace, trace, rtol=0, atol=1e-10)
+    got = visited(res)
+    assert len(got) == len(iterates)
+    for k, (w, ref) in enumerate(zip(got, iterates), 1):
+        assert_allclose(w, ref, rtol=0, atol=1e-10, err_msg=f"iterate {k}")
+    _assert_best_iterate(res, got, T)
     return iters
 
 
 @pytest.mark.parametrize("kind", ["l1", "l1l2"])
 @pytest.mark.parametrize("m", [50, 400])
 @pytest.mark.parametrize("r", [0.3, 1.5, 6.0])
-def test_matches_dense_reference(kind, m, r):
+def test_matches_dense_reference(kind, m, r, monkeypatch):
     """Support-sparse margins and the incremental gradient follow the dense iteration."""
     a, T = _instance(d=200, s=5, m=m, r=r, seed=70)
-    iters = _assert_matches_dense(kind, T, a.l1_norm, L.SolverConfig())
+    iters = _assert_matches_dense(kind, T, a.l1_norm, L.SolverConfig(), monkeypatch)
     assert iters > 64  # the periodic full gradient refresh ran
 
 
 @pytest.mark.parametrize("kind", ["l1", "l1l2"])
-def test_matches_dense_reference_averaged_and_capped(kind):
+def test_matches_dense_reference_averaged_and_capped(kind, monkeypatch):
     a, T = _instance(d=200, s=5, m=400, r=1.5, seed=71)
     capped = L.SolverConfig(max_iters=80)
-    assert _assert_matches_dense(kind, T, a.l1_norm, capped) == 80
+    assert _assert_matches_dense(kind, T, a.l1_norm, capped, monkeypatch) == 80
 
 
 def test_gradient_row_updates_stay_within_rounding():
@@ -225,7 +273,7 @@ class TestOneBit:
     def test_single_sample_reduces_to_max_linear(self):
         X = np.array([[0.3, -2.0, 0.7]])
         y = np.array([-1.0])
-        T = L.TrainingSet(X=X, y=y, r=1.0)
+        T = L.TrainingSet(X=X, y=y)
         res = L.solve_one_bit_cs(T, 1.3)
         assert_allclose(res.w_hat, L.max_linear_l1_l2(-X[0], 1.3), atol=1e-12)
         assert res.objective_kind == "linear"
@@ -235,7 +283,7 @@ class TestOneBit:
         a, T = _instance(d=30, s=3, m=100, r=0.5, seed=41)
         w1 = L.solve_one_bit_cs(T, a.l1_norm).w_hat
         for scale in (10.0, 1e200):
-            T_scaled = L.TrainingSet(X=scale * T.X, y=T.y, r=scale * T.r)
+            T_scaled = L.TrainingSet(X=scale * T.X, y=T.y)
             with np.errstate(all="raise"):
                 w2 = L.solve_one_bit_cs(T_scaled, a.l1_norm).w_hat
             assert_allclose(w1, w2, atol=1e-12)
@@ -246,7 +294,7 @@ class TestOneBit:
         m = int(rng.integers(2, 8))
         X = rng.standard_normal((m, 2))
         y = np.where(rng.uniform(size=m) < 0.5, -1.0, 1.0)
-        T = L.TrainingSet(X=X, y=y, r=1.0)
+        T = L.TrainingSet(X=X, y=y)
         R = 1.2
         w = L.solve_one_bit_cs(T, R).w_hat
         ref = angle_max_linear(X.T @ y, R)
@@ -255,7 +303,7 @@ class TestOneBit:
     def test_zero_gradient_rejected(self):
         X = np.array([[1.0, 0.0], [1.0, 0.0]])
         y = np.array([1.0, -1.0])
-        T = L.TrainingSet(X=X, y=y, r=1.0)
+        T = L.TrainingSet(X=X, y=y)
         with pytest.raises(ValueError):
             L.solve_one_bit_cs(T, 1.0)
 
@@ -263,7 +311,7 @@ class TestOneBit:
                              ids=["l1", "l2", "nan"])
     def test_infeasible_maximizer_rejected(self, monkeypatch, bad):
         monkeypatch.setattr(solvers, "max_linear_l1_l2", lambda g, R: np.array(bad))
-        T = L.TrainingSet(X=np.array([[0.3, -2.0, 0.7]]), y=np.array([1.0]), r=1.0)
+        T = L.TrainingSet(X=np.array([[0.3, -2.0, 0.7]]), y=np.array([1.0]))
         with pytest.raises(RuntimeError, match="infeasible"):
             L.solve_one_bit_cs(T, 1.3)
 
@@ -275,17 +323,16 @@ class TestRecoveryError:
     def test_identity(self):
         err = L.recovery_error(self.a, self.a.a)
         assert err.l2_error == pytest.approx(0.0, abs=1e-12)
-        assert err.cosine == pytest.approx(1.0, abs=1e-12)
         assert err.ratio_error == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_scaling_invariance(self):
         err = L.recovery_error(self.a, 2.0 * self.a.a)
         assert err.l2_error == pytest.approx(0.0, abs=1e-12)
-        assert err.raw_l2 == pytest.approx(1.0, abs=1e-12)
+        assert err.ratio_error == pytest.approx(0.0, abs=1e-12)
 
     def test_antipode_hits_sentinel(self):
         err = L.recovery_error(self.a, -self.a.a)
-        assert err.cosine == pytest.approx(-1.0, abs=1e-12)
+        assert err.l2_error == pytest.approx(2.0, abs=1e-12)
         assert err.ratio_error == float("inf")
 
     def test_zero_vector_rejected(self):
@@ -293,15 +340,18 @@ class TestRecoveryError:
             L.recovery_error(self.a, np.zeros(12))
 
     def test_overlap_identity_and_ratio_inequality(self):
-        """c'/c = sqrt((1-q)(1+q))/q for q = cosine, and bounds half the ratio error."""
+        """c'/c = sqrt((1-q)(1+q))/q for the cosine q = 1 - l2_error^2/2.
+
+        It also bounds half the ratio error.
+        """
         rng = np.random.default_rng(3)
         for _ in range(20):
             w = rng.standard_normal(12)
             err = L.recovery_error(self.a, w)
-            if err.cosine <= 0:
+            q = 1.0 - err.l2_error ** 2 / 2.0
+            if q <= 0:
                 continue
             o = L.OverlapCoords.from_vectors(self.a.a, w / np.linalg.norm(w), r=1.0)
             lhs = o.c_prime / o.c
-            q = err.cosine
             assert lhs == pytest.approx(math.sqrt((1.0 - q) * (1.0 + q)) / q, abs=1e-10)
             assert lhs >= 0.5 * err.ratio_error - 1e-10

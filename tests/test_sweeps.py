@@ -21,9 +21,6 @@ from l1svm.sweeps import (
     default_r_sweep_spec,
     emit_bound_overlay,
     enumerate_sweep_points,
-    run_d_sweep,
-    run_m_sweep,
-    run_r_sweep,
     run_sweep,
     write_sweep_rows,
 )
@@ -74,6 +71,14 @@ class TestSpecValidation:
         spec = SweepSpec(kind=kind, grid=(40,), trials=1, fixed=dict.fromkeys(keys, 1))
         assert set(spec.fixed) == set(keys)
 
+    def test_unset_options_take_the_kind_defaults(self):
+        assert dict(SweepSpec(kind="r", grid=(1.0,), trials=1).fixed) == {
+            "d": 1000, "m_values": (200, 400), "max_iters": 5000}
+        assert dict(SweepSpec(kind="m", grid=(40,), trials=1, fixed={"d": 30}).fixed) == {
+            "d": 30, "r_fixed": 0.75, "max_iters": 5000}
+        assert dict(SweepSpec(kind="d", grid=(40,), trials=1).fixed) == {
+            "s": 5, "m_multipliers": (10, 20, 40), "r": None, "max_iters": 5000}
+
     def test_fixed_is_read_only(self):
         spec = tiny_r_spec()
         with pytest.raises(TypeError):
@@ -87,10 +92,6 @@ class TestSpecValidation:
         spec = SweepSpec(kind="r", grid=(0.5,), trials=1, fixed=fixed)
         fixed["r_fixed"] = 0.5
         assert "r_fixed" not in spec.fixed
-
-    def test_kind_mismatch_rejected_by_runner(self):
-        with pytest.raises(ValueError):
-            run_m_sweep(tiny_r_spec())
 
 
 class TestBenchmarkClassifier:
@@ -111,7 +112,7 @@ class TestBenchmarkClassifier:
 
 class TestRSweep:
     def test_row_layout(self):
-        rows = run_r_sweep(tiny_r_spec())
+        rows = run_sweep(tiny_r_spec())
         assert [(row.sweep_value, row.method) for row in rows] == [
             (0.5, "l1_svm"), (0.5, "l1l2_svm"), (1.0, "l1_svm"), (1.0, "l1l2_svm")]
         b = benchmark_classifier(30)
@@ -121,7 +122,7 @@ class TestRSweep:
             assert row.trials_used == 3
 
     def test_mean_matches_trial_values(self):
-        for row in run_r_sweep(tiny_r_spec()):
+        for row in run_sweep(tiny_r_spec()):
             assert len(row.trial_l2_errors) == 3
             assert row.mean_l2_error == pytest.approx(
                 float(np.mean(row.trial_l2_errors)), abs=1e-15)
@@ -129,11 +130,7 @@ class TestRSweep:
             assert row.std_error == pytest.approx(expect_se, abs=1e-15)
 
     def test_deterministic_given_seed(self):
-        assert run_r_sweep(tiny_r_spec()) == run_r_sweep(tiny_r_spec())
-
-    def test_dispatch(self):
-        spec = tiny_r_spec()
-        assert run_sweep(spec) == run_r_sweep(spec)
+        assert run_sweep(tiny_r_spec()) == run_sweep(tiny_r_spec())
 
 
 class TestMSweep:
@@ -145,19 +142,19 @@ class TestMSweep:
         return SweepSpec(**kw)
 
     def test_four_series_per_sample_count(self):
-        rows = run_m_sweep(self.tiny())
+        rows = run_sweep(self.tiny())
         assert len(rows) == 8
         at4 = [(row.method, row.r) for row in rows if row.m == 4]
         assert at4 == [("l1_svm", 0.6), ("l1_svm", 2.0 / 30.0),
                        ("l1l2_svm", 2.0 / 30.0), ("one_bit_cs", 2.0 / 30.0)]
 
     def test_sign_baseline_needs_no_iterations(self):
-        rows = run_m_sweep(self.tiny())
+        rows = run_sweep(self.tiny())
         assert all(row.mean_solver_iters == 0.0
                    for row in rows if row.method == "one_bit_cs")
 
     def test_method_subset_prunes_series(self):
-        rows = run_m_sweep(self.tiny(methods=("one_bit_cs",)))
+        rows = run_sweep(self.tiny(methods=("one_bit_cs",)))
         assert [row.method for row in rows] == ["one_bit_cs", "one_bit_cs"]
 
 
@@ -169,24 +166,24 @@ class TestDSweep:
                          fixed=cfg, methods=("l1_svm",))
 
     def test_sample_count_scales_with_log_dimension(self):
-        rows = run_d_sweep(self.tiny())
+        rows = run_sweep(self.tiny())
         assert [row.m for row in rows] == [round(10 * math.log(40)), round(10 * math.log(60))]
         assert [row.r for row in rows] == [math.sqrt(row.m) / 30.0 for row in rows]
 
     def test_classifier_redrawn_per_trial(self):
         # fresh draws make trial errors distinct, and R reports the average norm
-        for row in run_d_sweep(self.tiny()):
+        for row in run_sweep(self.tiny()):
             assert row.std_error > 0.0
             assert abs(row.R - math.sqrt(3)) > 1e-6
 
     def test_scale_override(self):
-        rows = run_d_sweep(self.tiny(r=0.8))
+        rows = run_sweep(self.tiny(r=0.8))
         assert all(row.r == 0.8 for row in rows)
 
     def test_dimension_below_sparsity(self):
         spec = SweepSpec(kind="d", grid=(2, 40), trials=1, fixed={"s": 3})
         with pytest.raises(ValueError):
-            run_d_sweep(spec)
+            run_sweep(spec)
 
 
 class TestDefaultSpecs:
@@ -251,7 +248,7 @@ class TestSweepPoints:
 
 class TestCsvOutput:
     def test_header_and_rows(self, tmp_path):
-        rows = run_r_sweep(tiny_r_spec())
+        rows = run_sweep(tiny_r_spec())
         path = tmp_path / "sweep.csv"
         write_sweep_rows(rows, path)
         lines = path.read_text().splitlines()
@@ -265,10 +262,10 @@ class TestCsvOutput:
         assert int(cells[10]) == rows[0].trials_used
 
     def test_byte_identical_rewrites(self, tmp_path):
-        rows = run_r_sweep(tiny_r_spec())
+        rows = run_sweep(tiny_r_spec())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_rows(rows, p1)
-        write_sweep_rows(run_r_sweep(tiny_r_spec()), p2)
+        write_sweep_rows(run_sweep(tiny_r_spec()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -177,6 +177,13 @@ class TestDeviationBound:
         with pytest.raises(ValueError):
             L.thm1_bound(d=10, m=10, r=-1.0, R=1.0, u=0.5)
 
+    @pytest.mark.parametrize("name", ["r", "R", "u"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, name, bad):
+        params = {"d": 10, "m": 10, "r": 1.0, "R": 1.0, "u": 0.5, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+            L.thm1_bound(**params)
+
 
 class TestSampleSizeBound:
     def test_frozen_example(self):
@@ -198,6 +205,13 @@ class TestSampleSizeBound:
         assert m_t3 > m_t1
         with pytest.raises(ValueError):
             L.thm3_sample_size(0.1, 25.0, math.sqrt(5), 1000, t=-0.5)
+
+    @pytest.mark.parametrize("name", ["eps", "r", "R"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_sample_size_rejects_non_finite_or_nonpositive(self, name, bad):
+        params = {"eps": 0.1, "r": 25.0, "R": math.sqrt(5), "d": 1000, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+            L.thm3_sample_size(**params)
 
     def test_error_bound_frozen(self):
         assert L.thm3_error_bound(0.1, 25.0) == pytest.approx(1.3665406346995497, abs=1e-14)
@@ -232,6 +246,11 @@ class TestIntersectedErrorBound:
     def test_large_scale_asymptote(self):
         r = 100.0
         assert abs(L.thm8_bound(0.1, r) / (SQRT_2PI * 0.1 * r) - 1.0) < 0.01
+
+    @pytest.mark.parametrize("r", [1e6, 1e8])
+    def test_huge_scale_keeps_full_accuracy(self, r):
+        # the bound is sqrt(pi/2) eps 2r (1 + 1/(4 r^2) + ...), so the asymptote is exact to 1e-12
+        assert L.thm8_bound(0.1, r) == pytest.approx(SQRT_2PI * 0.1 * r, rel=1e-12, abs=0)
 
     def test_increasing_in_accuracy_target(self):
         with warnings.catch_warnings():
