@@ -1,8 +1,9 @@
 """Cross-check suites behind the `check` command.
 
-Each suite pits a closed-form or iterative routine against an independent
-oracle (Monte Carlo, exhaustive grid, or a hand-derived identity) and
-returns one CheckResult per comparison family.
+Each suite pits closed-form routines against an independent oracle and
+returns one CheckResult per comparison family: the expected hinge losses
+against Monte Carlo, the projections and the linear maximizer against an
+exhaustive grid, and the bound formulas against hand-derived identities.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def sample_overlap_tuples(n: int, seed: RngSeed = _DEFAULT_SEED) -> list[Overlap
 
 def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000,
                  seed: RngSeed = _DEFAULT_SEED) -> list[CheckResult]:
-    """Quadrature expectation vs Monte Carlo, 3-standard-error agreement."""
+    """Closed-form expectation vs Monte Carlo, 3-standard-error agreement."""
     tuples = sample_overlap_tuples(n_tuples, seed)
     hits = 0
     worst = 0.0
@@ -69,7 +70,7 @@ def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000,
             hits += 1
     need = n_tuples - 3
     return [CheckResult(
-        name="expected loss quadrature vs monte carlo",
+        name="expected loss closed form vs monte carlo",
         passed=hits >= need,
         detail=f"{hits}/{n_tuples} tuples within 3 SE (need >= {need}), worst z = {worst:.2f}",
     )]
@@ -193,11 +194,11 @@ def constants_suite() -> list[CheckResult]:
 
     m1 = thm3_sample_size(eps=0.1, r=25.0, R=math.sqrt(5), d=1000)
     m2 = thm3_sample_size(eps=0.05, r=25.0, R=math.sqrt(5), d=1000)
-    quad_ratio = m2 / m1
+    growth = m2 / m1
     results.append(CheckResult(
         name="sample size eps^-2 scaling",
-        passed=abs(quad_ratio - 4.0) < 1e-6,
-        detail=f"m(eps/2)/m(eps) = {quad_ratio:.8f}",
+        passed=abs(growth - 4.0) < 1e-6,
+        detail=f"m(eps/2)/m(eps) = {growth:.8f}",
     ))
 
     b = thm8_bound(0.2, 100.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import warnings
 
@@ -104,20 +105,21 @@ def _cmd_solve(args) -> int:
 
 
 def _parse_grid(text: str, kind: str):
+    nums = [float(x) for x in text.split(":" if ":" in text else ",")]
+    for x in nums:  # before the range loop or int() sees an infinity
+        if not 0 < x < math.inf:
+            raise ValueError(f"grid value must be positive and finite, got {x}")
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+        if len(nums) != 3:
             raise ValueError(f"grid range {text!r} must be a:b:step")
-        a, b, step = (float(x) for x in parts)
-        if step <= 0:
-            raise ValueError("grid step must be positive")
+        a, b, step = nums
         vals = []
         v = a
         while v <= b + step * 0.5:
             vals.append(round(v, 10))
             v += step
     else:
-        vals = [round(float(x), 10) for x in text.split(",")]
+        vals = [round(x, 10) for x in nums]
     if kind in ("m", "d"):
         vals = [int(round(v)) for v in vals]
     return tuple(vals)

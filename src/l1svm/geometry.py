@@ -6,7 +6,7 @@ thresholding of its input.  The l1 ball's level comes from a sorted scan.
 Where both constraints of the intersection are tight, the projection and the
 linear maximizer share one exact O(d log d) kernel: on sorted magnitudes the
 level with l1/l2 ratio R lies on the interval found by a cumulative-sum scan
-over the breakpoints, and there it is the root of one quadratic.
+over the breakpoints, and there it is the root of one second-degree equation.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def _ratio_depth(mags, R: float) -> float:
     the first k whose ratio reaches R holds the level.  The scan's l1 and squared
     l2 norms at the breakpoints are sums of nonnegative terms in the gaps
     delta_k = u_k - u_{k+1}, so they cannot cancel.  With the k largest entries
-    active the ratio condition is one quadratic in tau, whose root is
+    active the ratio condition is one second-degree equation in tau, whose root is
     mean + R sd / sqrt(k - R^2) over their depths.  Where they are all tied the
     ratio is sqrt(k) = R on the whole interval and its breakpoint is taken.
     Past the last breakpoint every entry stays active, so tau may exceed the top

@@ -187,10 +187,11 @@ def generate_training_set(a, m: int, r: float, seed) -> TrainingSet:
     vec = a.a if isinstance(a, SparseClassifier) else np.asarray(a, dtype=float)
     if m < 1:
         raise ValueError("need m >= 1")
-    if not r > 0:
-        raise ValueError("need r > 0")
     rng = as_generator(seed)
     Xt = rng.standard_normal((m, vec.size))
+    # the product in Python floats, so that an overflow raises no numpy warning
+    if not 0 < r < np.inf or r * float(max(Xt.max(), -Xt.min())) == np.inf:
+        raise ValueError(f"r must be positive, finite and small enough for r * x to be finite, got {r}")
     z = Xt @ vec
     while np.any(z == 0.0):
         bad = np.flatnonzero(z == 0.0)

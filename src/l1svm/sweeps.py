@@ -72,8 +72,6 @@ class SweepSpec:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if min(grid) <= 0:
-            raise ValueError("grid values must be positive")
         if self.trials < 1:
             raise ValueError("need trials >= 1")
         bad = set(self.methods) - set(METHODS)
@@ -83,8 +81,14 @@ class SweepSpec:
         unused = sorted(set(self.fixed) - set(options))
         if unused:
             raise ValueError(f"sweep kind {self.kind!r} does not use option(s) {', '.join(unused)}")
-        # every option filled in, and read-only, so that no key can join after the check above
-        object.__setattr__(self, "fixed", types.MappingProxyType({**options, **self.fixed}))
+        fixed = {**options, **self.fixed}
+        scales = [("grid value", v) for v in grid]
+        scales += [(key, fixed[key]) for key in ("r", "r_fixed") if fixed.get(key) is not None]
+        for name, v in scales:
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {v}")
+        # every option filled in, and read-only, so that no key can join after the checks above
+        object.__setattr__(self, "fixed", types.MappingProxyType(fixed))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Closed-form expectations and non-asymptotic bound formulas.
 
 Everything here is a deterministic formula in the model parameters: expected
-hinge losses under the Gaussian data model (exact via the normal CDF, with
-adaptive quadrature only for the one remaining smooth 1-D integral), the
-uniform concentration bound, the explicit sample-size and error bounds, and
-a Monte Carlo oracle used to cross-check the quadrature.
+hinge losses under the Gaussian data model (exact, via the normal CDF and
+Owen's T function), the uniform concentration bound, the explicit
+sample-size and error bounds, and a Monte Carlo oracle used to cross-check
+the expected losses.
 
-The normal CDF comes from scipy.special.ndtr, which evaluates the
-complementary error function with Cephes' rational approximations (relative
-accuracy well below 1e-14).  It is imported inside its two users, so that a
-command that never evaluates it does not load scipy.
+The normal CDF and Owen's T come from scipy.special (ndtr, Cephes' rational
+approximations of erfc, and owens_t, Patefield and Tandy's algorithm; both
+accurate to well below 1e-14).  They are imported inside their users, so
+that a command that never evaluates them does not load scipy.
 """
 
 from __future__ import annotations
@@ -63,10 +63,9 @@ class OverlapCoords:
     r: float
 
     def __post_init__(self):
-        if self.c_prime < 0:
-            raise ValueError("c_prime must be nonnegative")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
+        if not (math.isfinite(self.c) and 0.0 <= self.c_prime < math.inf):
+            raise ValueError(f"need c finite, c_prime >= 0 finite; got {self.c}, {self.c_prime}")
+        _require_positive_finite(r=self.r)
 
     @classmethod
     def from_vectors(cls, a, w, r: float) -> "OverlapCoords":
@@ -93,35 +92,29 @@ def expected_fa_a(r: float) -> float:
     return math.sqrt(2.0 / math.pi) * hinge_gaussian_integral(r)
 
 
-def _smoothed_hinge(A: float, s: float) -> float:
-    # E_t [A - s t]_+ for t ~ N(0,1): the Gaussian-smoothed positive part
-    from scipy.special import ndtr
-
-    return A * ndtr(A / s) + s * _phi(A / s)
-
-
 def expected_fa_w(o: OverlapCoords) -> float:
     """Expected hinge loss of a point with overlap (c, c_prime) at scale r.
 
-    The inner Gaussian integral has the closed form A Phi(A/s) + s phi(A/s)
-    with A = 1 - c r |t| and s = c_prime * r; the remaining 1-D integrand is
-    smooth, so adaptive quadrature resolves it to 1e-9.
+    With a = c r, b = c_prime r and U = a t1 + b t2, the loss is
+    2 E[(1 - U) 1{U <= 1, t1 >= 0}]: a bivariate-normal orthant probability
+    (Owen's T) minus, by Stein's lemma, a normal-CDF term.  With s = |(a, b)|
+    and h = 1/s it is
+    2 [Phi(h)/2 + T(h, -a/b) - a phi(0) Phi(1/b) + s phi(h) Phi(a/(b s))].
     """
-    c, cp, r = o.c, o.c_prime, o.r
-    if cp == 0.0:
-        if c > 0.0:
-            return expected_fa_a(c * r)
-        if c == 0.0:
+    a, b = o.c * o.r, o.c_prime * o.r
+    if b == 0.0:  # c_prime = 0, or c_prime r below the smallest float
+        if o.c > 0.0:
+            return expected_fa_a(a)
+        if o.c == 0.0:
             return 1.0
-        return 1.0 + abs(c) * r * math.sqrt(2.0 / math.pi)
-    s = cp * r
-    from scipy import integrate  # its only user; imported here to keep package import light
+        return 1.0 + abs(a) * math.sqrt(2.0 / math.pi)
+    from scipy.special import ndtr, owens_t
 
-    def integrand(t: float) -> float:
-        return 2.0 * _phi(t) * _smoothed_hinge(1.0 - c * r * t, s)
-
-    val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return float(val)
+    s = math.hypot(a, b)
+    h = 1.0 / s
+    # a / b / s, not a / (b s): the product underflows at tiny scales
+    return float(2.0 * (0.5 * ndtr(h) + owens_t(h, -a / b) - a * _phi(0.0) * ndtr(1.0 / b)
+                        + s * _phi(h) * ndtr(a / b / s)))
 
 
 def thm2_lower_bound(o: OverlapCoords) -> float:
@@ -156,7 +149,9 @@ class ConcentrationBound:
     failure_prob: float  # probability the bound fails, clipped into [0, 1]
 
 
-def _require_positive_finite(**params) -> None:
+def _require_positive_finite(t: float = 0.0, **params) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     for name, value in params.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -198,11 +193,9 @@ def _check_thm3_range(eps: float, r: float) -> None:
 
 def thm3_sample_size(eps: float, r: float, R: float, d: int, t: float = 1.0) -> int:
     """Samples sufficient for recovery error eps: ceil(4 eps^-2 (8 sqrt(8 pi) + (18+t) r R sqrt(2 log 2d))^2)."""
-    _require_positive_finite(eps=eps, r=r, R=R)
+    _require_positive_finite(eps=eps, r=r, R=R, t=t)
     if d < 2:
         raise ValueError("need d >= 2")
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
     _check_thm3_range(eps, r)
     root = math.sqrt(2.0 * math.log(2.0 * d))
     base = 8.0 * math.sqrt(8.0 * math.pi) + (18.0 + t) * r * R * root
@@ -211,13 +204,13 @@ def thm3_sample_size(eps: float, r: float, R: float, d: int, t: float = 1.0) -> 
 
 def thm3_error_bound(eps: float, r: float) -> float:
     """The guaranteed ratio-error level 2 e^{1/2} (pi eps + sqrt(2 pi)/r)."""
-    if not (eps > 0 and r > 0):
-        raise ValueError("eps, r must be positive")
+    _require_positive_finite(eps=eps, r=r)
     return 2.0 * math.exp(0.5) * (math.pi * eps + _SQRT_2PI / r)
 
 
 def thm3_failure_prob(d: int, r: float, R: float, t: float = 1.0) -> float:
     """Failure weight 8(exp(-t^2 r^2 R^2 log(2d)/16) + exp(-t^2 log(2d)/16)), unclipped."""
+    _require_positive_finite(r=r, R=R, t=t)
     if d < 2:
         raise ValueError("need d >= 2")
     ld = math.log(2.0 * d)
@@ -228,8 +221,7 @@ def thm3_failure_prob(d: int, r: float, R: float, t: float = 1.0) -> float:
 
 def thm8_bound(eps: float, r: float) -> float:
     """Squared-error bound sqrt(pi/2) eps / (r (1 - e^{-1/(2 r^2)})) for the intersected constraint."""
-    if not r > 0:
-        raise ValueError("need r > 0")
+    _require_positive_finite(eps=eps, r=r)
     if not 0.0 < eps < 0.5:
         warnings.warn("target accuracy outside the proved range 0 < eps < 1/2",
                       HypothesisWarning, stacklevel=2)

@@ -221,6 +221,25 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--kind", "m", "--grid", "inf"], "grid value must be positive and finite, got inf"),
+        (["--kind", "d", "--grid", "inf"], "grid value must be positive and finite, got inf"),
+        (["--kind", "r", "--grid", "inf", "--d", "30"],
+         "grid value must be positive and finite, got inf"),
+        (["--kind", "r", "--grid", "0:inf:1", "--d", "30"],
+         "grid value must be positive and finite, got 0.0"),
+        (["--kind", "d", "--grid", "100", "--r", "inf"], "r must be positive and finite, got inf"),
+        (["--kind", "r", "--grid", "1e308", "--d", "30"],
+         "r must be positive, finite and small enough for r * x to be finite, got 1e+308"),
+    ])
+    def test_non_finite_or_overflowing_scale_exit_2(self, tmp_path, capfd, argv, err):
+        # capfd: a warning printed by a sweep worker process would reach fd 2, not sys.stderr
+        out = tmp_path / "s.csv"
+        code, _, text = run(["sweep", *argv, "--trials", "1", "--out", str(out)], capfd)
+        assert code == 2
+        assert text == f"error: {err}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1:2", "1:2:0.5:1"])
     def test_range_without_three_parts_exit_2(self, tmp_path, capsys, grid):
         out = tmp_path / "s.csv"
@@ -327,6 +346,11 @@ class TestParseGrid:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             cli._parse_grid("1:2:0", "r")
+
+    @pytest.mark.parametrize("text", ["inf", "1,nan", "1:inf:1", "1:2:inf", "-inf:2:1"])
+    def test_non_finite_rejected_before_expansion(self, text):
+        with pytest.raises(ValueError, match="^grid value must be positive and finite, got "):
+            cli._parse_grid(text, "m")
 
 
 class TestTopLevel:

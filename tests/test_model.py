@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 from pathlib import Path
 
@@ -196,6 +197,21 @@ def test_classifier_csv_index_out_of_range(tmp_path, j):
     path.write_text(f"j,a_j\n1,0.6\n{j},0.8\n")
     with pytest.raises(ValueError, match=rf"j = {j} .*d = 5"):
         L.load_classifier(path, 5)
+
+
+@pytest.mark.parametrize("r", [np.inf, np.nan, 0.0, -1.0, 1e308])
+def test_generate_rejects_a_non_finite_or_overflowing_scale(r):
+    a = L.make_random_classifier(30, 3, L.RngSeed(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is found before numpy would warn of it
+        with pytest.raises(ValueError, match=f"^r must be positive, finite and .*, got {re.escape(str(r))}$"):
+            L.generate_training_set(a, 20, r, L.RngSeed(1, 1))
+
+
+def test_generate_accepts_a_huge_scale_that_fits():
+    a = L.make_random_classifier(30, 3, L.RngSeed(1))
+    T = L.generate_training_set(a, 20, 1e300, L.RngSeed(1, 1))
+    assert np.isfinite(T.X).all()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

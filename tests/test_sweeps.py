@@ -47,6 +47,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(kind="r", grid=(-1.0, 0.5), trials=1)
 
+    @pytest.mark.parametrize("kind", ["r", "m", "d"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_grid_value_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=f"^grid value must be positive and finite, got {bad}$"):
+            SweepSpec(kind=kind, grid=(100, bad), trials=1)
+
+    @pytest.mark.parametrize("kind, key", [("m", "r_fixed"), ("d", "r")])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+    def test_non_finite_scale_rejected(self, kind, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite, got {bad}$"):
+            SweepSpec(kind=kind, grid=(100,), trials=1, fixed={key: bad})
+
     def test_bad_trials_and_methods(self):
         with pytest.raises(ValueError):
             SweepSpec(kind="r", grid=(1.0,), trials=0)

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +90,41 @@ class TestExpectedLossGeneral:
         mean, se = L.monte_carlo_fa(o, 10_000_000, L.RngSeed(42))
         assert abs(L.expected_fa_w(o) - mean) <= 3.0 * se
 
+    # the values of the defining 2-D integral to 40 digits (mpmath, computed offline); the
+    # first sits next to the hinge kink, where adaptive quadrature of the 1-D form was off by
+    # 2.4e-7 with no warning
+    @pytest.mark.parametrize("c,cp,r,frozen", [
+        (0.999, 1e-6, 1.0, 0.3690605656166328),
+        (0.5765807185600784, 1.353196729079409e-4, 56.68566511039216, 0.01220585957957821),
+    ])
+    def test_high_precision_frozen_values(self, c, cp, r, frozen):
+        assert L.expected_fa_w(L.OverlapCoords(c, cp, r)) == pytest.approx(frozen, abs=1e-14)
+
+    @pytest.mark.parametrize("c", [0.7, 0.0, -0.7])
+    def test_continuous_into_each_aligned_branch(self, c):
+        limit = L.expected_fa_w(L.OverlapCoords(c, 0.0, 1.5))
+        gaps = [abs(L.expected_fa_w(L.OverlapCoords(c, cp, 1.5)) - limit)
+                for cp in (1e-3, 1e-6, 1e-9, 1e-12)]
+        # the loss is even in c_prime, so it leaves the branch value quadratically
+        assert gaps[0] < 1e-5
+        assert gaps[1] < 1e-11
+        assert gaps[2] < 1e-14 and gaps[3] < 1e-14
+
+    def test_underflowing_orthogonal_scale_takes_the_aligned_branch(self):
+        o = L.OverlapCoords(c=0.5, c_prime=5e-324, r=0.4)  # c_prime r rounds to 0
+        assert L.expected_fa_w(o) == L.expected_fa_a(0.2)
+
+
+def test_expected_losses_leave_out_scipy_integrate():
+    code = ("import sys; from l1svm import checks, theory; "
+            "theory.expected_fa_w(theory.OverlapCoords(0.6, 0.8, 2.0)); "
+            "checks.lemma7_suite(n_tuples=2, n_samples=1000); checks.thm2_suite(n_tuples=2); "
+            "print('scipy.integrate' in sys.modules, 'scipy.special' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout == "False True\n"
+
 
 class TestOverlapCoords:
     def test_from_vectors_identity(self):
@@ -102,6 +141,15 @@ class TestOverlapCoords:
             L.OverlapCoords(c=0.5, c_prime=-0.1, r=1.0)
         with pytest.raises(ValueError):
             L.OverlapCoords(c=0.5, c_prime=0.1, r=0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="^need c finite"):
+            L.OverlapCoords(c=bad, c_prime=0.5, r=1.0)
+        with pytest.raises(ValueError, match="^need c finite"):
+            L.OverlapCoords(c=0.5, c_prime=bad, r=1.0)
+        with pytest.raises(ValueError, match=f"^r must be positive and finite, got {bad}$"):
+            L.OverlapCoords(c=0.5, c_prime=0.5, r=bad)
 
 
 class TestLossGapLowerBound:
@@ -216,6 +264,28 @@ class TestSampleSizeBound:
     def test_error_bound_frozen(self):
         assert L.thm3_error_bound(0.1, 25.0) == pytest.approx(1.3665406346995497, abs=1e-14)
 
+    @pytest.mark.parametrize("name", ["eps", "r"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_error_bound_rejects_non_finite_or_nonpositive(self, name, bad):
+        params = {"eps": 0.1, "r": 25.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+            L.thm3_error_bound(**params)
+
+    @pytest.mark.parametrize("name", ["r", "R"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_failure_prob_rejects_non_finite_or_nonpositive(self, name, bad):
+        params = {"d": 1000, "r": 25.0, "R": 2.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+            L.thm3_failure_prob(**params)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5])
+    def test_failure_prob_rejects_bad_sharpening(self, bad):
+        with pytest.raises(ValueError, match=f"^t must be nonnegative and finite, got {bad}$"):
+            L.thm3_failure_prob(1000, 25.0, 2.0, t=bad)
+
+    def test_zero_sharpening_is_the_vacuous_weight(self):
+        assert L.thm3_failure_prob(1000, 25.0, 2.0, t=0.0) == 16.0
+
     def test_failure_prob_frozen_and_clipping(self):
         raw = L.thm3_failure_prob(1000, 25.0, math.sqrt(5))
         assert raw == pytest.approx(4.974799846582179, abs=1e-12)
@@ -267,6 +337,13 @@ class TestIntersectedErrorBound:
     def test_domain(self):
         with pytest.raises(ValueError):
             L.thm8_bound(0.1, 0.0)
+
+    @pytest.mark.parametrize("name", ["eps", "r"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive(self, name, bad):
+        params = {"eps": 0.1, "r": 25.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
+            L.thm8_bound(**params)
 
 
 class TestMonteCarlo:
