@@ -52,15 +52,13 @@ def _top_exponent(v) -> int:
     return math.frexp(np.abs(v).max(initial=0.0))[1]
 
 
-def project_l2(v, radius: float = 1.0) -> np.ndarray:
-    """Nearest point of the l2 ball: rescale iff outside, with the norm taken at unit scale."""
+def project_l2(v) -> np.ndarray:
+    """Nearest point of the unit l2 ball: rescale iff outside, with the norm taken at unit scale."""
     v = np.asarray(v, dtype=float)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     e = _top_exponent(v)
     u = np.ldexp(v, -e)
     n = np.linalg.norm(u)
-    return v.copy() if n <= np.ldexp(radius, -e) else u * (radius / n)
+    return v.copy() if n <= np.ldexp(1.0, -e) else u * (1.0 / n)
 
 
 def _ratio_depth(mags, R: float) -> float:
@@ -153,8 +151,8 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
-    if R < 1.0:
-        raise ValueError("need R >= 1")
+    if not 1.0 <= R < math.inf:  # ConstraintSet's rule; this module imports nothing from model
+        raise ValueError(f"R must be >= 1 and finite, got {R}")
     top = np.abs(g).max()
     if top == 0.0:
         raise ValueError("zero vector: maximizer undefined")

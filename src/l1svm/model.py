@@ -63,29 +63,25 @@ def as_generator(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SparseClassifier:
-    """Unit l2-norm vector with explicit support bookkeeping."""
+    """Unit l2-norm vector; its support and sparsity s are read off its nonzero entries."""
 
     a: np.ndarray
-    support: np.ndarray
-    s: int
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        sup = np.asarray(self.support, dtype=int)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "support", sup)
         if a.ndim != 1:
             raise ValueError("classifier must be a vector")
-        if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(a) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("classifier must have unit l2 norm")
-        if len(sup) != self.s:
-            raise ValueError("support size disagrees with s")
-        nz = np.flatnonzero(a)
-        if not np.array_equal(np.sort(sup), nz):
-            raise ValueError("support must list exactly the nonzero entries")
-        # unit l2 norm and s nonzeros force ||a||_1 <= sqrt(s)
-        if np.abs(a).sum() > np.sqrt(self.s) + 1e-9:
-            raise ValueError("l1 norm exceeds sqrt(s)")
+
+    @property
+    def support(self) -> np.ndarray:
+        return np.flatnonzero(self.a)
+
+    @property
+    def s(self) -> int:
+        return int(np.count_nonzero(self.a))
 
     @property
     def d(self) -> int:
@@ -110,6 +106,8 @@ class TrainingSet:
         object.__setattr__(self, "y", y)
         if X.ndim != 2:
             raise ValueError("X must be an m x d matrix")
+        if X.shape[0] < 1:
+            raise ValueError("training set has no rows")
         if X.shape[1] < 1:
             raise ValueError("training set has no coordinates: need d >= 1 columns x_1, ..., x_d")
         finite = np.isfinite(X)
@@ -140,14 +138,15 @@ class ConstraintSet:
     def __post_init__(self):
         if self.kind not in ("l1", "l1l2"):
             raise ValueError("kind must be 'l1' or 'l1l2'")
-        if self.R < 1.0:
-            raise ValueError("l1 radius must be >= 1")
+        if not 1.0 <= self.R < np.inf:
+            raise ValueError(f"R must be >= 1 and finite, got {self.R}")
 
-    def contains(self, w, tol: float = 1e-8) -> bool:
+    def contains(self, w) -> bool:
+        """Membership up to an absolute slack of 1e-8 on each norm."""
         w = np.asarray(w, dtype=float)
-        ok = np.abs(w).sum() <= self.R + tol
+        ok = np.abs(w).sum() <= self.R + 1e-8
         if self.kind == "l1l2":
-            ok = ok and np.linalg.norm(w) <= 1.0 + tol
+            ok = ok and np.linalg.norm(w) <= 1.0 + 1e-8
         return bool(ok)
 
 
@@ -159,7 +158,7 @@ def benchmark_classifier(d: int) -> SparseClassifier:
     a = np.zeros(d)
     a[support] = _BENCH_VALUES
     a /= np.linalg.norm(a)
-    return SparseClassifier(a=a, support=np.array(support), s=5)
+    return SparseClassifier(a)
 
 
 def make_random_classifier(d: int, s: int, seed) -> SparseClassifier:
@@ -169,12 +168,12 @@ def make_random_classifier(d: int, s: int, seed) -> SparseClassifier:
     rng = as_generator(seed)
     support = np.sort(rng.choice(d, size=s, replace=False))
     vals = rng.standard_normal(s)
-    while np.any(vals == 0.0):  # probability-zero guard, keeps support exact
+    while np.any(vals == 0.0):  # probability-zero guard, so that a has exactly s nonzeros
         vals[vals == 0.0] = rng.standard_normal(np.count_nonzero(vals == 0.0))
     a = np.zeros(d)
     a[support] = vals
     a /= np.linalg.norm(a)
-    return SparseClassifier(a=a, support=support, s=s)
+    return SparseClassifier(a)
 
 
 def generate_training_set(a, m: int, r: float, seed) -> TrainingSet:

@@ -127,12 +127,9 @@ def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, projec
     cfg = SolverConfig() if cfg is None else cfg
     if not isinstance(cfg, SolverConfig):
         raise TypeError("cfg must be a SolverConfig")
-    if R < 1.0:
-        raise ValueError("need R >= 1")
-    if T.m < 1:
-        raise ValueError("empty training set")
+    feasible = ConstraintSet(kind, R)
     w_hat, f_hat, iters, converged = _projected_subgradient(T, R, cfg.max_iters, project)
-    if not ConstraintSet(kind, R).contains(w_hat, tol=1e-8):
+    if not feasible.contains(w_hat):
         raise RuntimeError("solver produced an infeasible point")
     return SolverResult(w_hat=w_hat, objective=f_hat, iterations=iters, converged=converged)
 
@@ -153,20 +150,20 @@ def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
     The result stores the linear objective <g, w>, not the hinge loss; the
     objective_kind flag says so.
     """
-    if R < 1.0:
-        raise ValueError("need R >= 1")
+    feasible = ConstraintSet("l1l2", R)
     g = T.X.T @ T.y
     if not g.any():
         raise ValueError("labeled sample sum is zero: maximizer undefined")
     w = max_linear_l1_l2(g, R)
-    if not ConstraintSet("l1l2", R).contains(w, tol=1e-8):
+    if not feasible.contains(w):
         raise RuntimeError("solver produced an infeasible point")
     return SolverResult(w_hat=w, objective=float(g @ w), iterations=0, converged=True,
                         objective_kind="linear")
 
 
-# method name -> solver(T, R, cfg), module-level so that wrapping a solver function also
-# wraps the calls made through it; the closed-form sign baseline ignores the config
+# method name -> solver(T, R, cfg); the closed-form sign baseline ignores the config.
+# Wrapping a solver function also wraps the calls made through this table, but only in
+# the process that wraps it: spawned sweep workers import the module afresh
 SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm,
            "one_bit_cs": lambda T, R, cfg: solve_one_bit_cs(T, R)}
 

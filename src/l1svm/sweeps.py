@@ -284,11 +284,10 @@ def enumerate_sweep_points(spec: SweepSpec) -> list[dict]:
     return list(points.values())
 
 
-def emit_bound_overlay(spec: SweepSpec, eps_grid=(0.05, 0.1, 0.15), t: float = 1.0,
-                       path=None) -> list[BoundReport]:
-    """Bound values at every sweep point, one report per (point, eps) pair."""
+def emit_bound_overlay(spec: SweepSpec, eps_grid=(0.05, 0.1, 0.15), path=None) -> list[BoundReport]:
+    """Bound values at every sweep point, one report per (point, eps) pair, at t = 1."""
     reports = [
-        bound_report(p["d"], p["s"], p["R"], p["r"], p["m"], float(eps), p["u"], t=t)
+        bound_report(p["d"], p["s"], p["R"], p["r"], p["m"], float(eps), p["u"])
         for p in enumerate_sweep_points(spec)
         for eps in eps_grid
     ]

@@ -143,8 +143,6 @@ def proof_constant_057() -> float:
 
 @dataclass(frozen=True)
 class ConcentrationBound:
-    mu_bound: float  # bound on the mean supremum deviation
-    mu_tilde_bound: float  # bound on the label-flip sensitivity term
     total: float  # deterministic deviation bound plus the slack u
     failure_prob: float  # probability the bound fails, clipped into [0, 1]
 
@@ -166,18 +164,11 @@ def thm1_bound(d: int, m: int, r: float, R: float, u: float) -> ConcentrationBou
     _require_positive_finite(r=r, R=R, u=u)
     root = math.sqrt(2.0 * math.log(2.0 * d))
     sqrt_m = math.sqrt(m)
-    mu = (4.0 * math.sqrt(8.0 * math.pi) + 8.0 * r * R * root) / sqrt_m
-    mu_tilde = r * R * root / sqrt_m
     total = (8.0 * math.sqrt(8.0 * math.pi) + 18.0 * r * R * root) / sqrt_m + u
     fail = 8.0 * (
         math.exp(-m * u * u / 32.0) + math.exp(-m * u * u / (32.0 * r * r * R * R))
     )
-    return ConcentrationBound(
-        mu_bound=mu,
-        mu_tilde_bound=mu_tilde,
-        total=total,
-        failure_prob=min(fail, 1.0),
-    )
+    return ConcentrationBound(total=total, failure_prob=min(fail, 1.0))
 
 
 def _check_thm3_range(eps: float, r: float) -> None:

@@ -91,6 +91,12 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("R", ["nan", "inf", "0.5"])
+    @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
+    def test_radius_not_finite_or_below_one_exit_2(self, data, capsys, method, R):
+        code, out, err = run(["solve", "--method", method, "--data", str(data), "--R", R], capsys)
+        assert (code, out, err) == (2, "", f"error: R must be >= 1 and finite, got {R}\n")
+
     def test_unknown_method_exit_2(self, data, capsys):
         code, _, _ = run(["solve", "--method", "ridge", "--data", str(data),
                           "--R", "1.4"], capsys)

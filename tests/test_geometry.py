@@ -410,6 +410,11 @@ class TestMaxLinear:
         with pytest.raises(ValueError):
             max_linear_l1_l2(np.zeros(3), 1.2)
 
+    @pytest.mark.parametrize("R", [np.nan, np.inf, 0.5])
+    def test_radius_must_be_finite_and_at_least_one(self, R):
+        with pytest.raises(ValueError, match=rf"^R must be >= 1 and finite, got {R}$"):
+            max_linear_l1_l2(np.array([3.0, 1.0, 2.0]), R)
+
     def test_tied_magnitudes_take_the_perturbation_limit(self):
         w = max_linear_l1_l2(np.array([1.0, 1.0]), 1.2)
         assert_allclose(w, [0.9741657387, 0.2258342613], atol=1e-9)

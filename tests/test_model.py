@@ -141,9 +141,27 @@ def test_constraint_set_validation():
         L.ConstraintSet("box", 1.5)
 
 
+@pytest.mark.parametrize("kind", ["l1", "l1l2"])
+@pytest.mark.parametrize("R", [np.nan, np.inf, 0.5])
+def test_constraint_set_radius_must_be_finite_and_at_least_one(kind, R):
+    with pytest.raises(ValueError, match=rf"^R must be >= 1 and finite, got {R}$"):
+        L.ConstraintSet(kind, R)
+
+
+def test_training_set_rejects_no_rows():
+    with pytest.raises(ValueError, match="^training set has no rows$"):
+        L.TrainingSet(np.zeros((0, 3)), np.zeros(0))
+
+
 def test_sparse_classifier_rejects_non_unit_vectors():
     with pytest.raises(ValueError):
-        L.SparseClassifier(a=np.array([1.0, 1.0]), support=np.array([0, 1]), s=2)
+        L.SparseClassifier(a=np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("a", [[np.nan, 0.0], [0.6, 0.8, np.nan]])
+def test_sparse_classifier_rejects_nan_entries(a):
+    with pytest.raises(ValueError, match="unit l2 norm"):
+        L.SparseClassifier(np.array(a))
 
 
 def test_training_set_csv_round_trip(tmp_path):

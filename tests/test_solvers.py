@@ -172,6 +172,14 @@ def test_config_validation():
         L.solve_l1_svm(T, 0.9)  # radius below 1
 
 
+@pytest.mark.parametrize("R", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", [L.solve_l1_svm, L.solve_l1_l2_svm, L.solve_one_bit_cs])
+def test_non_finite_radius_rejected(solver, R):
+    a, T = _instance(d=10, s=2, m=20, r=1.0, seed=40)
+    with pytest.raises(ValueError, match=rf"^R must be >= 1 and finite, got {R}$"):
+        solver(T, R)
+
+
 def _dense_projected_subgradient(T, R, cfg, project):
     """Reference loop: both m x d products in full at every iteration; keeps every iterate."""
     m, d = T.X.shape
