@@ -4,10 +4,15 @@ Each suite pits closed-form routines against an independent oracle and
 returns one CheckResult per comparison family: the expected hinge losses
 against Monte Carlo, the projections and the linear maximizer against an
 exhaustive grid, and the bound formulas against hand-derived identities.
+
+The lemma7 Monte Carlo estimates and the projections grid-oracle calls run
+on `sweeps._map`'s pool, one spawned worker per CPU, so a script calling
+those suites or `run_suite` needs the `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -16,6 +21,7 @@ import numpy as np
 from .geometry import max_linear_l1_l2, project_l1, project_l1_l2
 from .model import RngSeed, as_generator
 from .oracles import angle_max_linear, grid_project
+from .sweeps import _map
 from .theory import (OverlapCoords, expected_fa_a, expected_fa_w, gaussian_max_norm_bounds,
                      hinge_gaussian_integral, monte_carlo_fa, proof_constant_057,
                      thm1_bound, thm2_lower_bound, thm3_sample_size, thm8_bound)
@@ -59,12 +65,13 @@ def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000,
                  seed: RngSeed = _DEFAULT_SEED) -> list[CheckResult]:
     """Closed-form expectation vs Monte Carlo, 3-standard-error agreement."""
     tuples = sample_overlap_tuples(n_tuples, seed)
+    # each estimate draws from its own stream, so the pool changes no bit of it
+    estimates = _map(monte_carlo_fa, [(o, n_samples, RngSeed(seed.base, i + 1))
+                                      for i, o in enumerate(tuples)])
     hits = 0
     worst = 0.0
-    for i, o in enumerate(tuples):
-        exact = expected_fa_w(o)
-        mean, se = monte_carlo_fa(o, n_samples, RngSeed(seed.base, i + 1))
-        z = abs(mean - exact) / se
+    for o, (mean, se) in zip(tuples, estimates):
+        z = abs(mean - expected_fa_w(o)) / se
         worst = max(worst, z)
         if z <= 3.0:
             hits += 1
@@ -98,15 +105,17 @@ def projections_suite(n_inputs: int = 20, seed: RngSeed = _DEFAULT_SEED) -> list
     rng = as_generator(seed)
     results = []
 
-    for kind, proj in (("l1", project_l1), ("l1l2", project_l1_l2)):
+    kinds = (("l1", project_l1), ("l1l2", project_l1_l2))
+    # every input drawn first, in the serial order: neither the projections nor the
+    # oracle reads rng, so the draws after this block see the same state
+    inputs = [(rng.standard_normal(2 + i % 2) * 2.0, float(rng.uniform(1.0, 2.0)), kind)
+              for kind, _ in kinds for i in range(n_inputs)]
+    refs = zip(inputs, _map(grid_project, inputs))
+    for kind, proj in kinds:
         worst_pt = 0.0
         worst_d2 = 0.0
-        for i in range(n_inputs):
-            d = 2 if i % 2 == 0 else 3
-            v = rng.standard_normal(d) * 2.0
-            R = float(rng.uniform(1.0, 2.0))
+        for (v, R, _), w_ref in itertools.islice(refs, n_inputs):
             w = proj(v, R)
-            w_ref = grid_project(v, R, kind=kind)
             worst_pt = max(worst_pt, float(np.linalg.norm(w - w_ref)))
             worst_d2 = max(worst_d2, abs(float(((w - v) ** 2).sum() - ((w_ref - v) ** 2).sum())))
         results.append(CheckResult(

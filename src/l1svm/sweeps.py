@@ -224,6 +224,7 @@ def _init_worker(filters: list) -> None:
 def _map(fn, tasks: list) -> list:
     """[fn(*task) for task in tasks], in order; on one worker per CPU when there are several.
 
+    It serves the sweep trials and the `lemma7` and `projections` checks.
     Workers are spawned, not forked, and each runs one BLAS thread: two
     processes that each start BLAS's default thread count oversubscribe the
     CPUs and are no faster than one.  A worker's exception reaches the caller

@@ -1,3 +1,5 @@
+import functools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from l1svm import cli
+from l1svm import checks, cli, sweeps
 from l1svm.model import TrainingSet, load_classifier, load_training_set, save_training_set
 
 
@@ -323,6 +325,14 @@ class TestCheckCommand:
         code, text, _ = run(["check", "--suite", "constants"], capsys)
         assert code == 2
         assert "FAIL x" in text
+
+    def test_worker_value_error_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweeps, "_workers", lambda: 2)
+        monkeypatch.setitem(checks.SUITES, "lemma7",
+                            functools.partial(checks.lemma7_suite, n_tuples=2, n_samples=999))
+        code, text, err = run(["check", "--suite", "lemma7"], capsys)
+        assert (code, text, err) == (2, "", "error: need at least 1000 samples\n")
+        assert multiprocessing.active_children() == []
 
     def test_runtime_failure_exit_1(self, capsys, monkeypatch):
         def boom(name):
