@@ -121,7 +121,13 @@ def _parse_grid(text: str, kind: str):
     else:
         vals = [round(x, 10) for x in nums]
     if kind in ("m", "d"):
-        vals = [int(round(v)) for v in vals]
+        ints = [int(round(v)) for v in vals]
+        for i, (v, n) in enumerate(zip(vals, ints)):
+            if n < 1:
+                raise ValueError(f"grid value {v} rounds to {kind} = {n}, below 1")
+            if i and vals[i - 1] < v and ints[i - 1] == n:
+                raise ValueError(f"grid values {vals[i - 1]} and {v} both round to {kind} = {n}")
+        vals = ints
     return tuple(vals)
 
 

@@ -79,23 +79,36 @@ def _ratio_depth(mags, R: float) -> float:
     """
     u = np.sort(mags)[::-1]
     d = u.size
-    k_idx = np.arange(1, d + 1)
-    below = np.append(u[1:], 0.0)  # breakpoint theta = u_{k+1} for each active count k
-    gap = u - below
-    kgap = k_idx * gap
-    l1 = np.cumsum(kgap)  # sum_{j<=k} (u_j - u_{k+1})
-    l2sq = np.cumsum(gap * (2.0 * np.append(0.0, l1[:-1]) + kgap))  # sum of their squares
     k_top = int(np.count_nonzero(u == u[0]))
-    reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
-    reach[-1] = True  # the all-active interval runs on below 0
-    k = k_top + int(np.argmax(reach))
+    # the scan takes the first active count that reaches R, and a cumulative sum's prefix
+    # does not depend on the entries after it: so the top entries are scanned first, and
+    # all d only when none of them reaches R
+    k = _first_reach(u, min(d, max(64, 2 * k_top)), k_top, R) or _first_reach(u, d, k_top, R)
     if k == k_top or k <= R * R:
-        return float(u[0] - below[k - 1])
+        return float(u[0] - (u[k] if k < d else 0.0))
     t = u[0] - u[:k]  # depths of the active entries, exact near the top
-    tau = float(t.mean() + R * t.std() / np.sqrt(k - R * R))
+    # t.mean() and t.std(), by numpy's own reduce and divide steps
+    mean = np.add.reduce(t) / k
+    dev = t - mean
+    tau = float(mean + R * math.sqrt(np.add.reduce(dev * dev) / k) / math.sqrt(k - R * R))
     if k < d:
         tau = min(tau, float(u[0] - u[k]))
     return max(tau, float(t[-1]))
+
+
+def _first_reach(u, n: int, k_top: int, R: float) -> int:
+    """The first active count k in k_top..n whose breakpoint ratio reaches R; 0 if none does."""
+    below = u[1:n + 1] if n < u.size else np.append(u[1:], 0.0)  # breakpoint theta = u_{k+1}
+    gap = u[:n] - below
+    kgap = np.arange(1, n + 1) * gap
+    l1 = np.cumsum(kgap)  # sum_{j<=k} (u_j - u_{k+1})
+    l2sq = np.cumsum(gap * (2.0 * np.append(0.0, l1[:-1]) + kgap))  # sum of their squares
+    reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
+    if n == u.size:
+        reach[-1] = True  # the all-active interval runs on below 0
+    elif not reach.any():
+        return 0
+    return k_top + int(np.argmax(reach))
 
 
 def _normalized_soft(v, tau: float) -> np.ndarray:

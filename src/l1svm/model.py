@@ -303,12 +303,16 @@ def save_classifier(a, path) -> None:
 def load_classifier(path, d: int) -> np.ndarray:
     """Read a classifier CSV into a length-d vector; a header-only file is the zero vector."""
     a = np.zeros(d)
+    seen = set()
     rows = _read_csv(path, "classifier", "classifier", lambda h: len(h) == 2 and h[0] == "j")
     for n, (j, value) in enumerate(rows, 1):
         j, value = int(j), float(value)
         if not 1 <= j <= d:
             raise ValueError(f"classifier index j = {j} is outside 1..d for d = {d}")
+        if j in seen:
+            raise ValueError(f"classifier CSV data row {n} repeats index j = {j}")
         if not np.isfinite(value):
             raise ValueError(f"classifier CSV data row {n} has non-finite a_j = {value}")
+        seen.add(j)
         a[j - 1] = value
     return a

@@ -1,13 +1,17 @@
 """Experiment harness: seeded error sweeps over r, m and d, plus bound overlays.
 
 Each sweep fixes everything except one quantity, runs `trials` independent
-instances per grid point and reports mean recovery errors.  Trial t always
-draws from the stream (seed.base, t), so different grid points of one sweep
-see the same noise realizations and paired comparisons are meaningful.
+instances per grid point and reports mean recovery errors.  In the r and m
+sweeps trial t always draws from the stream (seed.base, t), so different grid
+points of one sweep see the same noise realizations and paired comparisons are
+meaningful.  The d sweep draws a fresh classifier per trial and offsets its
+streams per (d, multiplier) pair.  Methods that share a sample count and a
+scale are solved on one training set per trial, the set each would draw alone.
 
-Trials are independent, so `run_sweep` solves them on one spawned worker
-process per CPU the caller may run on, each with one BLAS thread.  A caller
-restricted to one CPU runs them in process.
+There is one task per training set and trial.  Tasks are independent, so
+`run_sweep` solves them on one spawned worker process per CPU the caller may
+run on, each with one BLAS thread.  A caller restricted to one CPU runs them in
+process.
 """
 
 from __future__ import annotations
@@ -134,21 +138,22 @@ def default_d_sweep_spec(trials: int = 60, seed: RngSeed = RngSeed(0), **fixed) 
 
 @dataclass(frozen=True)
 class _Cell:
-    """One grid point x series of a sweep: one output row."""
+    """One training set per trial of a sweep, and the methods solved on it: one row each."""
 
     sweep_value: float
-    method: str
     m: int
     r: float
     d: int
     s: int
     a: SparseClassifier | None  # None: a fresh random classifier per trial
     stream: int  # trial t draws from RngSeed(spec.seed.base, stream + t)
+    methods: tuple
 
 
 def _cells(spec: SweepSpec) -> list[_Cell]:
     """Every cell of a sweep in row order; the one place each kind's grid is worked out."""
     fixed = spec.fixed
+    methods = spec.methods
     if spec.kind == "d":
         s = int(fixed["s"])
         mults = tuple(fixed["m_multipliers"])
@@ -161,32 +166,38 @@ def _cells(spec: SweepSpec) -> list[_Cell]:
                 m = round(mult * math.log(d))
                 r = float(fixed["r"]) if fixed["r"] is not None else math.sqrt(m) / 30.0
                 stream = spec.trials * (mi + len(mults) * di)
-                cells += [_Cell(float(d), method, m, r, d, s, None, stream)
-                          for method in spec.methods]
+                cells.append(_Cell(float(d), m, r, d, s, None, stream, methods))
         return cells
     a = benchmark_classifier(int(fixed["d"]))
     if spec.kind == "r":
-        return [_Cell(float(r), method, int(m), float(r), a.d, a.s, a, 0)
-                for r in spec.grid for m in fixed["m_values"] for method in spec.methods]
+        return [_Cell(float(r), int(m), float(r), a.d, a.s, a, 0, methods)
+                for r in spec.grid for m in fixed["m_values"]]
+    # the l1 solver at r_fixed, then every method at r = sqrt(m)/30 on one shared set
     r_fixed = float(fixed["r_fixed"])
     cells = []
     for m in spec.grid:
         m = int(m)
-        series = [("l1_svm", r_fixed), ("l1_svm", math.sqrt(m) / 30.0),
-                  ("l1l2_svm", math.sqrt(m) / 30.0), ("one_bit_cs", math.sqrt(m) / 30.0)]
-        cells += [_Cell(float(m), method, m, r, a.d, a.s, a, 0)
-                  for method, r in series if method in spec.methods]
+        for r, series in ((r_fixed, ("l1_svm",)), (math.sqrt(m) / 30.0, METHODS)):
+            ms = tuple(method for method in series if method in methods)
+            if ms:
+                cells.append(_Cell(float(m), m, r, a.d, a.s, a, 0, ms))
     return cells
 
 
 def _trial(cell: _Cell, base: int, trial: int, cfg: SolverConfig) -> tuple:
-    """Solve and score one trial of a cell: (l2 error, ratio error, iterations, ||a||_1)."""
+    """Solve and score each method of a cell on one trial's training set.
+
+    Returns an (l2 error, ratio error, iterations, ||a||_1) tuple per method, in order.
+    """
     gen = RngSeed(base, cell.stream + trial).generator()
     a = make_random_classifier(cell.d, cell.s, gen) if cell.a is None else cell.a
-    # unnamed, so that the m x d training set is freed before the estimate is scored
-    res = SOLVERS[cell.method](generate_training_set(a, cell.m, cell.r, gen), a.l1_norm, cfg)
-    err = recovery_error(a, res)
-    return err.l2_error, err.ratio_error, res.iterations, a.l1_norm
+    T = generate_training_set(a, cell.m, cell.r, gen)
+    out = []
+    for method in cell.methods:
+        res = SOLVERS[method](T, a.l1_norm, cfg)
+        err = recovery_error(a, res)
+        out.append((err.l2_error, err.ratio_error, res.iterations, a.l1_norm))
+    return tuple(out)
 
 
 def _workers() -> int:
@@ -257,15 +268,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     results = _map(_trial, [(c, spec.seed.base, t, cfg) for c in cells for t in range(n)])
     rows = []
     for i, c in enumerate(cells):
-        errors, ratios, iters, norms = zip(*results[i * n:(i + 1) * n])
-        errs = np.asarray(errors)
-        rows.append(SweepRow(
-            sweep_value=c.sweep_value, method=c.method, m=c.m, r=c.r, d=c.d, s=c.s,
-            R=c.a.l1_norm if c.a is not None else float(np.mean(norms)),
-            mean_l2_error=float(errs.mean()), mean_ratio_error=float(np.mean(ratios)),
-            std_error=float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            trials_used=n, mean_solver_iters=float(np.mean(iters)), trial_l2_errors=tuple(errs),
-        ))
+        trials = results[i * n:(i + 1) * n]
+        for j, method in enumerate(c.methods):
+            errors, ratios, iters, norms = zip(*(res[j] for res in trials))
+            errs = np.asarray(errors)
+            rows.append(SweepRow(
+                sweep_value=c.sweep_value, method=method, m=c.m, r=c.r, d=c.d, s=c.s,
+                R=c.a.l1_norm if c.a is not None else float(np.mean(norms)),
+                mean_l2_error=float(errs.mean()), mean_ratio_error=float(np.mean(ratios)),
+                std_error=float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+                trials_used=n, mean_solver_iters=float(np.mean(iters)),
+                trial_l2_errors=tuple(errs),
+            ))
     return rows
 
 

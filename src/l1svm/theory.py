@@ -285,9 +285,12 @@ class BoundReport:
 def bound_report(d: int, s: int, R: float, r: float, m: int, eps: float, u: float,
                  t: float = 1.0) -> BoundReport:
     """Evaluate every bound at one parameter tuple."""
+    thm1 = thm1_bound(d, m, r, R, u)  # checks d before s is compared with it
+    if not 1 <= s <= d:
+        raise ValueError(f"sparsity s must be in 1..d = {d}, got {s}")
     return BoundReport(
         d=d, s=s, R=R, r=r, m=m, eps=eps, u=u,
-        thm1=thm1_bound(d, m, r, R, u),
+        thm1=thm1,
         thm3_error_bound=thm3_error_bound(eps, r),
         thm3_prob=min(thm3_failure_prob(d, r, R, t), 1.0),
         thm8_error_bound=thm8_bound(eps, r),

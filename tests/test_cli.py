@@ -248,6 +248,17 @@ class TestSweepCommand:
         assert text == f"error: {err}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, err", [
+        ("0.3", "grid value 0.3 rounds to m = 0, below 1"),
+        ("1.2,1.4", "grid values 1.2 and 1.4 both round to m = 1"),
+    ], ids=["below-one", "collapsed"])
+    def test_grid_value_rounding_away_exit_2(self, tmp_path, capsys, grid, err):
+        out = tmp_path / "s.csv"
+        code, _, text = run(["sweep", "--kind", "m", "--grid", grid, "--out", str(out)], capsys)
+        assert code == 2
+        assert text == f"error: {err}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1:2", "1:2:0.5:1"])
     def test_range_without_three_parts_exit_2(self, tmp_path, capsys, grid):
         out = tmp_path / "s.csv"
@@ -296,6 +307,15 @@ class TestTheoryCommand:
                             "--t", "inf"], capsys)
         assert code == 2
         assert err == "error: t must be nonnegative and finite, got inf\n"
+
+    @pytest.mark.parametrize("args", [["--s", "0"], ["--s", "-3"], ["--s", "5000", "--d", "1000"]],
+                             ids=["zero", "negative", "above-d"])
+    def test_sparsity_outside_dimension_exit_2(self, capsys, args):
+        given = dict(zip(args[::2], args[1::2]))
+        code, text, err = run(self.ARGS + args, capsys)
+        assert code == 2
+        assert text == ""
+        assert err == f"error: sparsity s must be in 1..d = 1000, got {given['--s']}\n"
 
     def test_hypothesis_warnings_one_line_each(self, capsys):
         code, text, err = run(["theory", "--d", "1000", "--r", "0.5", "--R", "2",

@@ -259,6 +259,54 @@ class TestNearTies:
         assert both >= 30
 
 
+def _full_scan_depth(mags, R):
+    """_ratio_depth with the scan run over every breakpoint and numpy's mean and std."""
+    u = np.sort(mags)[::-1]
+    d = u.size
+    below = np.append(u[1:], 0.0)
+    gap = u - below
+    kgap = np.arange(1, d + 1) * gap
+    l1 = np.cumsum(kgap)
+    l2sq = np.cumsum(gap * (2.0 * np.append(0.0, l1[:-1]) + kgap))
+    k_top = int(np.count_nonzero(u == u[0]))
+    reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
+    reach[-1] = True
+    k = k_top + int(np.argmax(reach))
+    if k == k_top or k <= R * R:
+        return float(u[0] - below[k - 1])
+    t = u[0] - u[:k]
+    tau = float(t.mean() + R * t.std() / np.sqrt(k - R * R))
+    if k < d:
+        tau = min(tau, float(u[0] - u[k]))
+    return max(tau, float(t[-1]))
+
+
+class TestTopScan:
+    """The scan over the top magnitudes gives the full scan's bits, with or without fallback."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_vectors(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        for _ in range(50):
+            mags = np.abs(rng.standard_normal(1000))
+            R = float(rng.uniform(1.0, mags.sum() / np.linalg.norm(mags)))
+            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+
+    def test_near_ties(self):
+        rng = np.random.default_rng(1400)
+        for _ in range(100):
+            v, R = _near_tied_case(rng)
+            assert _ratio_depth(np.abs(v), R) == _full_scan_depth(np.abs(v), R)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_magnitudes_fall_back_to_every_entry(self, seed):
+        mags = 1.0 + 1e-3 * np.random.default_rng(1500 + seed).uniform(size=1000)
+        tau = _ratio_depth(mags, 20.0)
+        assert tau == _full_scan_depth(mags, 20.0)
+        # hundreds of entries active, far past the first scan's top 64
+        assert np.count_nonzero(tau - (mags.max() - mags) > 0.0) > 200
+
+
 class TestExactKernel:
     """Exact optimality of the sort-and-scan kernel where both constraints are tight."""
 

@@ -283,6 +283,13 @@ def test_classifier_csv_non_finite_rejected(tmp_path, bad):
         L.load_classifier(path, 5)
 
 
+def test_classifier_csv_repeated_index_rejected(tmp_path):
+    path = tmp_path / "cls.csv"
+    path.write_text("j,a_j\n2,0.5\n2,0.7\n")
+    with pytest.raises(ValueError, match="^classifier CSV data row 2 repeats index j = 2$"):
+        L.load_classifier(path, 5)
+
+
 def test_classifier_csv_header_only_is_zero(tmp_path):
     path = tmp_path / "cls.csv"
     L.save_classifier(np.zeros(4), path)

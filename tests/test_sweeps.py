@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from l1svm import sweeps
-from l1svm.model import RngSeed
+from l1svm.model import RngSeed, generate_training_set
 from l1svm.solvers import SolverConfig
 from l1svm.sweeps import (
     SWEEP_HEADER,
@@ -168,6 +168,28 @@ class TestMSweep:
     def test_method_subset_prunes_series(self):
         rows = run_sweep(self.tiny(methods=("one_bit_cs",)))
         assert [row.method for row in rows] == ["one_bit_cs", "one_bit_cs"]
+
+
+class TestSharedTrainingSet:
+    """Each trial draws one training set per (m, r) and solves every method of the cell on it."""
+
+    @pytest.mark.parametrize("kind, draws", [("m", 8), ("r", 6)])
+    def test_one_draw_per_training_set_and_trial(self, monkeypatch, kind, draws):
+        monkeypatch.setattr(sweeps, "_workers", lambda: 1)
+        drawn = []
+
+        def counting(a, m, r, gen):
+            drawn.append((m, r))
+            return generate_training_set(a, m, r, gen)
+
+        monkeypatch.setattr(sweeps, "generate_training_set", counting)
+        # m: per sample count one set at r_fixed and one at sqrt(m)/30 for the other three
+        # series, 2 trials; r: one set per scale with both methods solved on it, 3 trials
+        spec = TestMSweep().tiny() if kind == "m" else tiny_r_spec()
+        rows = run_sweep(spec)
+        assert len(drawn) == draws
+        assert len(set(drawn)) * spec.trials == draws
+        assert len(rows) * spec.trials == 2 * draws
 
 
 class TestDSweep:
