@@ -87,10 +87,7 @@ def _ratio_depth(mags, R: float) -> float:
     if k == k_top or k <= R * R:
         return float(u[0] - (u[k] if k < d else 0.0))
     t = u[0] - u[:k]  # depths of the active entries, exact near the top
-    # t.mean() and t.std(), by numpy's own reduce and divide steps
-    mean = np.add.reduce(t) / k
-    dev = t - mean
-    tau = float(mean + R * math.sqrt(np.add.reduce(dev * dev) / k) / math.sqrt(k - R * R))
+    tau = float(t.mean() + R * t.std() / np.sqrt(k - R * R))
     if k < d:
         tau = min(tau, float(u[0] - u[k]))
     return max(tau, float(t[-1]))

@@ -9,9 +9,9 @@ streams per (d, multiplier) pair.  Methods that share a sample count and a
 scale are solved on one training set per trial, the set each would draw alone.
 
 There is one task per training set and trial.  Tasks are independent, so
-`run_sweep` solves them on one spawned worker process per CPU the caller may
-run on, each with one BLAS thread.  A caller restricted to one CPU runs them in
-process.
+`run_sweep` solves them, last grid point first, on one spawned worker process
+per CPU the caller may run on, each with one BLAS thread.  A caller restricted
+to one CPU runs them in process.
 """
 
 from __future__ import annotations
@@ -265,7 +265,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     cfg = SolverConfig(max_iters=int(spec.fixed["max_iters"]))
     cells = _cells(spec)
     n = spec.trials
-    results = _map(_trial, [(c, spec.seed.base, t, cfg) for c in cells for t in range(n)])
+    tasks = [(c, spec.seed.base, t, cfg) for c in cells for t in range(n)]
+    # m and d grids rise, and a task's work with them: submitted largest first, the
+    # pool ends on short tasks instead of leaving one worker idle behind a long one
+    results = _map(_trial, tasks[::-1])[::-1]
     rows = []
     for i, c in enumerate(cells):
         trials = results[i * n:(i + 1) * n]

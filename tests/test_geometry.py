@@ -260,7 +260,7 @@ class TestNearTies:
 
 
 def _full_scan_depth(mags, R):
-    """_ratio_depth with the scan run over every breakpoint and numpy's mean and std."""
+    """_ratio_depth with the scan run over every breakpoint."""
     u = np.sort(mags)[::-1]
     d = u.size
     below = np.append(u[1:], 0.0)

@@ -173,8 +173,9 @@ class TestMSweep:
 class TestSharedTrainingSet:
     """Each trial draws one training set per (m, r) and solves every method of the cell on it."""
 
-    @pytest.mark.parametrize("kind, draws", [("m", 8), ("r", 6)])
-    def test_one_draw_per_training_set_and_trial(self, monkeypatch, kind, draws):
+    @staticmethod
+    def drawn_in_process(monkeypatch) -> list:
+        """The (m, r) of every training set drawn, in the order the tasks run."""
         monkeypatch.setattr(sweeps, "_workers", lambda: 1)
         drawn = []
 
@@ -183,6 +184,11 @@ class TestSharedTrainingSet:
             return generate_training_set(a, m, r, gen)
 
         monkeypatch.setattr(sweeps, "generate_training_set", counting)
+        return drawn
+
+    @pytest.mark.parametrize("kind, draws", [("m", 8), ("r", 6)])
+    def test_one_draw_per_training_set_and_trial(self, monkeypatch, kind, draws):
+        drawn = self.drawn_in_process(monkeypatch)
         # m: per sample count one set at r_fixed and one at sqrt(m)/30 for the other three
         # series, 2 trials; r: one set per scale with both methods solved on it, 3 trials
         spec = TestMSweep().tiny() if kind == "m" else tiny_r_spec()
@@ -190,6 +196,12 @@ class TestSharedTrainingSet:
         assert len(drawn) == draws
         assert len(set(drawn)) * spec.trials == draws
         assert len(rows) * spec.trials == 2 * draws
+
+    def test_largest_sample_count_runs_first(self, monkeypatch):
+        drawn = self.drawn_in_process(monkeypatch)
+        rows = run_sweep(TestMSweep().tiny())
+        assert [m for m, _ in drawn] == [8] * 4 + [4] * 4
+        assert [row.m for row in rows] == [4] * 4 + [8] * 4
 
 
 class TestDSweep:
