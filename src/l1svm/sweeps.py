@@ -4,14 +4,17 @@ Each sweep fixes everything except one quantity, runs `trials` independent
 instances per grid point and reports mean recovery errors.  In the r and m
 sweeps trial t always draws from the stream (seed.base, t), so different grid
 points of one sweep see the same noise realizations and paired comparisons are
-meaningful.  The d sweep draws a fresh classifier per trial and offsets its
-streams per (d, multiplier) pair.  Methods that share a sample count and a
-scale are solved on one training set per trial, the set each would draw alone.
+meaningful; the spec's seed must therefore have stream 0.  The d sweep draws a
+fresh classifier per trial and offsets its streams per (d, multiplier) pair.
+Methods that share a sample count and a scale are solved on one training set
+per trial, the set each would draw alone.
 
-There is one task per training set and trial.  Tasks are independent, so
-`run_sweep` solves them, last grid point first, on one spawned worker process
-per CPU the caller may run on, each with one BLAS thread.  A caller restricted
-to one CPU runs them in process.
+There is one task per training set and trial.  It returns the classifier's l1
+norm once and one named record per method solved on the set; a row averages
+its method's records field by field.  Tasks are independent, so `run_sweep`
+solves them, last grid point first, on one spawned worker process per CPU the
+caller may run on, each with one BLAS thread.  A caller restricted to one CPU
+runs them in process.
 """
 
 from __future__ import annotations
@@ -81,6 +84,12 @@ class SweepSpec:
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
+        for i, method in enumerate(self.methods):
+            if method in self.methods[:i]:
+                raise ValueError(f"method {method!r} is repeated")
+        if self.seed.stream:
+            raise ValueError(f"sweep seed must have stream 0, got stream {self.seed.stream}: "
+                             "each trial draws from its own stream")
         options = _OPTIONS[self.kind]
         unused = sorted(set(self.fixed) - set(options))
         if unused:
@@ -91,6 +100,13 @@ class SweepSpec:
         for name, v in scales:
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
+        # counts are used as given, so a fractional one is refused rather than truncated
+        counts = [(f"{self.kind} grid value", v) for v in grid if self.kind != "r"]
+        counts += [(key, v) for key in ("d", "s", "m_values", "max_iters") if key in fixed
+                   for v in np.ravel(fixed[key])]
+        for name, v in counts:
+            if not (1 <= v < math.inf and v == int(v)):
+                raise ValueError(f"{name} must be a whole number >= 1, got {v}")
         # every option filled in, and read-only, so that no key can join after the checks above
         object.__setattr__(self, "fixed", types.MappingProxyType(fixed))
 
@@ -184,20 +200,29 @@ def _cells(spec: SweepSpec) -> list[_Cell]:
     return cells
 
 
-def _trial(cell: _Cell, base: int, trial: int, cfg: SolverConfig) -> tuple:
+@dataclass(frozen=True)
+class _Solve:
+    """One method's solve on one trial's training set: what its row averages."""
+
+    l2_error: float
+    ratio_error: float
+    iterations: int
+
+
+def _trial(cell: _Cell, base: int, trial: int, cfg: SolverConfig) -> tuple[float, dict]:
     """Solve and score each method of a cell on one trial's training set.
 
-    Returns an (l2 error, ratio error, iterations, ||a||_1) tuple per method, in order.
+    Returns the classifier's ||a||_1 and a `_Solve` record per method, keyed by method.
     """
     gen = RngSeed(base, cell.stream + trial).generator()
     a = make_random_classifier(cell.d, cell.s, gen) if cell.a is None else cell.a
     T = generate_training_set(a, cell.m, cell.r, gen)
-    out = []
+    solves = {}
     for method in cell.methods:
         res = SOLVERS[method](T, a.l1_norm, cfg)
         err = recovery_error(a, res)
-        out.append((err.l2_error, err.ratio_error, res.iterations, a.l1_norm))
-    return tuple(out)
+        solves[method] = _Solve(err.l2_error, err.ratio_error, res.iterations)
+    return a.l1_norm, solves
 
 
 def _workers() -> int:
@@ -271,16 +296,18 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     results = _map(_trial, tasks[::-1])[::-1]
     rows = []
     for i, c in enumerate(cells):
-        trials = results[i * n:(i + 1) * n]
-        for j, method in enumerate(c.methods):
-            errors, ratios, iters, norms = zip(*(res[j] for res in trials))
-            errs = np.asarray(errors)
+        norms, trials = zip(*results[i * n:(i + 1) * n])
+        R = c.a.l1_norm if c.a is not None else float(np.mean(norms))
+        for method in c.methods:
+            solves = [by_method[method] for by_method in trials]
+            errs = np.array([solve.l2_error for solve in solves])
             rows.append(SweepRow(
-                sweep_value=c.sweep_value, method=method, m=c.m, r=c.r, d=c.d, s=c.s,
-                R=c.a.l1_norm if c.a is not None else float(np.mean(norms)),
-                mean_l2_error=float(errs.mean()), mean_ratio_error=float(np.mean(ratios)),
+                sweep_value=c.sweep_value, method=method, m=c.m, r=c.r, d=c.d, s=c.s, R=R,
+                mean_l2_error=float(errs.mean()),
+                mean_ratio_error=float(np.mean([solve.ratio_error for solve in solves])),
                 std_error=float(errs.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-                trials_used=n, mean_solver_iters=float(np.mean(iters)),
+                trials_used=n,
+                mean_solver_iters=float(np.mean([solve.iterations for solve in solves])),
                 trial_l2_errors=tuple(errs),
             ))
     return rows

@@ -99,6 +99,36 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="does not use option\\(s\\) r_fixed$"):
             dataclasses.replace(spec, fixed={**spec.fixed, "r_fixed": 0.5})
 
+    @pytest.mark.parametrize("kind, method", [("r", "l1_svm"), ("m", "l1l2_svm")])
+    def test_repeated_method_rejected(self, kind, method):
+        with pytest.raises(ValueError, match=f"^method '{method}' is repeated$"):
+            SweepSpec(kind=kind, grid=(40,), trials=1, methods=(method, "one_bit_cs", method))
+
+    def test_seed_with_a_stream_rejected(self):
+        with pytest.raises(ValueError, match="^sweep seed must have stream 0, got stream 5: "):
+            tiny_r_spec(seed=RngSeed(7, 5))
+        assert tiny_r_spec(seed=RngSeed(7, 0)).seed == RngSeed(7)
+
+    @pytest.mark.parametrize("kind, grid, fixed, msg", [
+        ("m", (20.7,), {}, "m grid value must be a whole number >= 1, got 20.7"),
+        ("m", (20.2, 20.6), {}, "m grid value must be a whole number >= 1, got 20.2"),
+        ("m", (0.5,), {}, "m grid value must be a whole number >= 1, got 0.5"),
+        ("d", (100, 150.5), {}, "d grid value must be a whole number >= 1, got 150.5"),
+        ("m", (20,), {"d": 30.7}, "d must be a whole number >= 1, got 30.7"),
+        ("r", (0.5,), {"m_values": (20, 20.9)}, "m_values must be a whole number >= 1, got 20.9"),
+        ("r", (0.5,), {"m_values": (0,)}, "m_values must be a whole number >= 1, got 0"),
+        ("d", (100,), {"s": 2.9}, "s must be a whole number >= 1, got 2.9"),
+        ("d", (100,), {"s": 0}, "s must be a whole number >= 1, got 0"),
+        ("r", (0.5,), {"max_iters": 60.9}, "max_iters must be a whole number >= 1, got 60.9"),
+    ])
+    def test_fractional_count_rejected(self, kind, grid, fixed, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            SweepSpec(kind=kind, grid=grid, trials=1, fixed=fixed)
+
+    def test_whole_float_counts_accepted(self):
+        spec = SweepSpec(kind="m", grid=(20.0, 30), trials=1, fixed={"d": 30.0})
+        assert [c.m for c in sweeps._cells(spec)] == [20, 20, 30, 30]
+
     def test_fixed_is_copied(self):
         fixed = {"d": 30, "m_values": (6,)}
         spec = SweepSpec(kind="r", grid=(0.5,), trials=1, fixed=fixed)
@@ -202,6 +232,19 @@ class TestSharedTrainingSet:
         rows = run_sweep(TestMSweep().tiny())
         assert [m for m, _ in drawn] == [8] * 4 + [4] * 4
         assert [row.m for row in rows] == [4] * 4 + [8] * 4
+
+    def test_trial_returns_the_norm_once_and_a_record_per_method(self, monkeypatch):
+        monkeypatch.setattr(sweeps, "_workers", lambda: 1)
+        spec = tiny_r_spec(grid=(0.5,), trials=1)
+        cell = sweeps._cells(spec)[0]
+        norm, solves = sweeps._trial(cell, spec.seed.base, 0, SolverConfig(max_iters=60))
+        assert norm == cell.a.l1_norm
+        assert list(solves) == list(cell.methods) == ["l1_svm", "l1l2_svm"]
+        for solve, row in zip(solves.values(), run_sweep(spec)):
+            assert [f.name for f in dataclasses.fields(solve)] == [
+                "l2_error", "ratio_error", "iterations"]
+            assert (row.mean_l2_error, row.mean_ratio_error, row.mean_solver_iters) == (
+                solve.l2_error, solve.ratio_error, solve.iterations)
 
 
 class TestDSweep:
