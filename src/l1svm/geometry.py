@@ -2,11 +2,12 @@
 
 Two feasible sets appear throughout: the l1 ball {||w||_1 <= R} and its
 intersection with the unit l2 ball.  Every routine here is a soft
-thresholding of its input.  The l1 ball's level comes from a sorted scan.
-Where both constraints of the intersection are tight, the projection and the
-linear maximizer share one exact O(d log d) kernel: on sorted magnitudes the
-level with l1/l2 ratio R lies on the interval found by a cumulative-sum scan
-over the breakpoints, and there it is the root of one second-degree equation.
+thresholding of its input.  Each projection sorts the magnitudes once, and
+the l1 ball's level comes from a scan over them.  Where both constraints of
+the intersection are tight, the projection and the linear maximizer share one
+exact O(d log d) kernel: on sorted magnitudes the level with l1/l2 ratio R
+lies on the interval found by a cumulative-sum scan over the breakpoints, and
+there it is the root of one second-degree equation.
 """
 
 from __future__ import annotations
@@ -23,13 +24,8 @@ __all__ = [
 ]
 
 
-def project_l1(v, R: float) -> np.ndarray:
-    """Nearest point of the l1 ball of radius R, by sorted soft thresholding.
-
-    Magnitudes and the level are measured down from the top magnitude, so R
-    is not lost to rounding against the magnitudes themselves: the top entry
-    always passes the scan, and the result keeps l1 norm R at any scale.
-    """
+def _sorted_magnitudes(v, R: float):
+    """v as floats, |v|, ||v||_1 and |v| sorted descending, after checking v and R."""
     v = np.asarray(v, dtype=float)
     if not R > 0:
         raise ValueError("radius must be positive")
@@ -37,28 +33,46 @@ def project_l1(v, R: float) -> np.ndarray:
     total = mags.sum()
     if not np.isfinite(total):
         raise ValueError("vector must be finite, with a finite l1 norm")
+    return v, mags, total, np.sort(mags)[::-1]
+
+
+def _l1_candidate(v, mags, total, u, R: float) -> np.ndarray:
+    """project_l1(v, R), given the rest of _sorted_magnitudes(v, R)."""
     if total <= R:
         return v.copy()
-    below = mags - mags.max()
-    u = np.sort(below)[::-1]
-    cs = np.cumsum(u)
+    # sort(|v|) - top is sort(|v| - top), as rounding is monotone
+    top = u[0]
+    below = u - top
+    cs = np.cumsum(below)
     idx = np.arange(1, v.size + 1)
-    rho = idx[u > (cs - R) / idx][-1]
-    return np.sign(v) * np.maximum(below - (cs[rho - 1] - R) / rho, 0.0)
+    rho = idx[below > (cs - R) / idx][-1]
+    return np.sign(v) * np.maximum((mags - top) - (cs[rho - 1] - R) / rho, 0.0)
 
 
-def _top_exponent(v) -> int:
-    """e with max|v_j| in [2**(e-1), 2**e): v / 2**e is exact, and its l2 norm stays finite."""
-    return math.frexp(np.abs(v).max(initial=0.0))[1]
+def project_l1(v, R: float) -> np.ndarray:
+    """Nearest point of the l1 ball of radius R, by sorted soft thresholding.
+
+    Magnitudes and the level are measured down from the top magnitude, so R
+    is not lost to rounding against the magnitudes themselves: the top entry
+    always passes the scan, and the result keeps l1 norm R at any scale.
+    """
+    return _l1_candidate(*_sorted_magnitudes(v, R), R)
+
+
+def _l2_ball(v, e: int):
+    """v / 2**e and project_l2(v), for e with max|v_j| in [2**(e-1), 2**e).
+
+    The division is exact, and at that unit scale the l2 norm stays finite.
+    """
+    unit = np.ldexp(v, -e)
+    n = np.linalg.norm(unit)
+    return unit, v.copy() if n <= np.ldexp(1.0, -e) else unit * (1.0 / n)
 
 
 def project_l2(v) -> np.ndarray:
     """Nearest point of the unit l2 ball: rescale iff outside, with the norm taken at unit scale."""
     v = np.asarray(v, dtype=float)
-    e = _top_exponent(v)
-    u = np.ldexp(v, -e)
-    n = np.linalg.norm(u)
-    return v.copy() if n <= np.ldexp(1.0, -e) else u * (1.0 / n)
+    return _l2_ball(v, math.frexp(np.abs(v).max(initial=0.0))[1])[1]
 
 
 def _ratio_depth(mags, R: float) -> float:
@@ -77,13 +91,17 @@ def _ratio_depth(mags, R: float) -> float:
     Past the last breakpoint every entry stays active, so tau may exceed the top
     there.  Needs sqrt(#entries tied at the top) <= R < sqrt(#entries).
     """
-    u = np.sort(mags)[::-1]
+    return _sorted_depth(np.sort(mags)[::-1], R)
+
+
+def _sorted_depth(u, R: float) -> float:
+    """_ratio_depth for magnitudes u already sorted descending."""
     d = u.size
-    below = np.append(u[1:], 0.0)  # breakpoint theta = u_{k+1}
+    below = np.concatenate((u[1:], [0.0]))  # breakpoint theta = u_{k+1}
     gap = u - below
     kgap = np.arange(1, d + 1) * gap
     l1 = np.cumsum(kgap)  # sum_{j<=k} (u_j - u_{k+1})
-    l2sq = np.cumsum(gap * (2.0 * np.append(0.0, l1[:-1]) + kgap))  # sum of their squares
+    l2sq = np.cumsum(gap * (2.0 * np.concatenate(([0.0], l1[:-1])) + kgap))  # sum of their squares
     k_top = int(np.count_nonzero(u == u[0]))
     reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
     reach[-1] = True  # the all-active interval runs on below 0
@@ -91,7 +109,9 @@ def _ratio_depth(mags, R: float) -> float:
     if k == k_top or k <= R * R:
         return float(u[0] - below[k - 1])
     t = u[0] - u[:k]  # depths of the active entries, exact near the top
-    tau = float(t.mean() + R * t.std() / np.sqrt(k - R * R))
+    mean = np.add.reduce(t) / k  # numpy's mean and std, step for step, so with their bits
+    dev = t - mean
+    tau = float(mean + R * math.sqrt(np.add.reduce(dev * dev) / k) / math.sqrt(k - R * R))
     if k < d:
         tau = min(tau, float(u[0] - u[k]))
     return max(tau, float(t[-1]))
@@ -113,15 +133,17 @@ def project_l1_l2(v, R: float) -> np.ndarray:
     the KKT conditions make the answer the soft thresholding of v, rescaled to
     unit l2 norm, at the level where its l1/l2 ratio is R.
     """
-    cand = project_l1(v, R)  # it checks v and R
+    v, mags, total, u = _sorted_magnitudes(v, R)
+    cand = _l1_candidate(v, mags, total, u, R)
     if np.linalg.norm(cand) <= 1.0 + 1e-15:
         return cand
-    ball = project_l2(v)
+    e = math.frexp(u[0])[1]
+    unit, ball = _l2_ball(v, e)
     if np.abs(ball).sum() <= R + 1e-15:
         return ball
-    # the answer ignores positive scaling; at unit scale its sums of squares stay finite
-    v = np.ldexp(v, -_top_exponent(v))
-    return _normalized_soft(v, _ratio_depth(np.abs(v), R))
+    # the answer ignores positive scaling, so it is found at unit scale; ldexp is
+    # monotone, so ldexp(u) is unit's magnitudes sorted
+    return _normalized_soft(unit, _sorted_depth(np.ldexp(u, -e), R))
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:

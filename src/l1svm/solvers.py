@@ -7,6 +7,7 @@ because its objective is linear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,7 @@ def _update_gradient(g, X, XF, y, active, new, k):
     The rows whose sign changed are added or removed, in O(d flips); on every
     _REFRESH-th iteration, or when many rows changed, the sum is recomputed.
     """
-    ch = np.flatnonzero(new != active)
+    ch = (new != active).nonzero()[0]
     if k % _REFRESH == 0 or _FLIPS * ch.size > y.size:
         return XF.T @ (y * new)
     if ch.size:
@@ -97,14 +98,14 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        S = np.flatnonzero(w)
+        S = w.nonzero()[0]
         margins = 1.0 - y * (XF[:, S] @ w[S])
-        f = float(np.mean(np.maximum(margins, 0.0)))
-        if not np.isfinite(f):
+        f = float(np.add.reduce(np.maximum(margins, 0.0)) / m)  # np.mean's steps and bits
+        if not math.isfinite(f):
             raise FloatingPointError(f"hinge objective {_OVERFLOW}")
         if f < best_f:
             best_f = f
-            best_w = w.copy()
+            best_w = w  # no iterate is written in place
         best_hist.append(best_f)
         if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
             converged = True
@@ -113,12 +114,13 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
         new = margins > 0.0
         g = _update_gradient(g, X, XF, y, active, new, k)
         active = new
-        with np.errstate(over="ignore"):  # an overflow is reported just below, as an error
-            z = w + (R / np.sqrt(k)) * (g / m)
-            finite = np.isfinite(np.abs(z).sum())  # no non-finite entry or l1 norm
-        if not finite:
-            raise FloatingPointError(f"subgradient step {_OVERFLOW}")
-        w = project(z, R)
+        # an overflow leaves z, or its l1 norm, non-finite, which the projection rejects
+        with np.errstate(over="ignore"):
+            z = w + (R / math.sqrt(k)) * (g / m)
+            try:
+                w = project(z, R)
+            except ValueError as exc:  # R was checked, so only z can be at fault
+                raise FloatingPointError(f"subgradient step {_OVERFLOW}") from exc
     return best_w, best_f, k, converged
 
 

@@ -97,6 +97,8 @@ class SweepSpec:
         fixed = {**options, **self.fixed}
         scales = [("grid value", v) for v in grid]
         scales += [(key, fixed[key]) for key in ("r", "r_fixed") if fixed.get(key) is not None]
+        mults = np.ravel(fixed.get("m_multipliers", ()))
+        scales += [("m_multipliers", v) for v in mults]
         for name, v in scales:
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
@@ -107,6 +109,10 @@ class SweepSpec:
         for name, v in counts:
             if not (1 <= v < math.inf and v == int(v)):
                 raise ValueError(f"{name} must be a whole number >= 1, got {v}")
+        for mult in mults:  # m = round(mult log d) grows with d, so the first d is the test
+            if round(mult * math.log(grid[0])) < 1:
+                raise ValueError(f"m_multipliers value {mult} gives m = round({mult} log d) < 1 "
+                                 f"at d={grid[0]}")
         # every option filled in, and read-only, so that no key can join after the checks above
         object.__setattr__(self, "fixed", types.MappingProxyType(fixed))
 

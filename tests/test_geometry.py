@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -222,7 +224,10 @@ def _near_tied_case(rng):
 
 
 class TestNearTies:
-    """Top magnitudes that nearly, but not exactly, tie: the scan must not cancel."""
+    """Top magnitudes that nearly, but not exactly, tie: the scan must not cancel.
+
+    The level search also keeps the bits of the frozen reference _full_scan_depth.
+    """
 
     def test_repro(self):
         g = np.array([1.0, 1.0 - 1e-9, 1.0 - 2e-9, 0.5])
@@ -258,9 +263,31 @@ class TestNearTies:
             assert np.linalg.norm(v - w) <= np.linalg.norm(v - ref) + 1e-12
         assert both >= 30
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_depth_matches_full_scan(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        for _ in range(50):
+            mags = np.abs(rng.standard_normal(1000))
+            R = float(rng.uniform(1.0, mags.sum() / np.linalg.norm(mags)))
+            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+
+    def test_depth_matches_full_scan_near_ties(self):
+        rng = np.random.default_rng(1400)
+        for _ in range(100):
+            v, R = _near_tied_case(rng)
+            assert _ratio_depth(np.abs(v), R) == _full_scan_depth(np.abs(v), R)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_depth_matches_full_scan_on_flat_magnitudes(self, seed):
+        mags = 1.0 + 1e-3 * np.random.default_rng(1500 + seed).uniform(size=1000)
+        tau = _ratio_depth(mags, 20.0)
+        assert tau == _full_scan_depth(mags, 20.0)
+        # hundreds of entries active, far down the sorted breakpoints
+        assert np.count_nonzero(tau - (mags.max() - mags) > 0.0) > 200
+
 
 def _full_scan_depth(mags, R):
-    """_ratio_depth with the scan run over every breakpoint."""
+    """_ratio_depth with np.append and numpy's mean and std: a frozen reference for its bits."""
     u = np.sort(mags)[::-1]
     d = u.size
     below = np.append(u[1:], 0.0)
@@ -281,30 +308,83 @@ def _full_scan_depth(mags, R):
     return max(tau, float(t[-1]))
 
 
-class TestTopScan:
-    """The scan over the top magnitudes gives the full scan's bits, with or without fallback."""
+def _separate_project_l1(v, R):
+    """project_l1 with its own abs, sum and sort: a frozen reference for its bits."""
+    v = np.asarray(v, dtype=float)
+    mags = np.abs(v)
+    if mags.sum() <= R:
+        return v.copy()
+    below = mags - mags.max()
+    u = np.sort(below)[::-1]
+    cs = np.cumsum(u)
+    idx = np.arange(1, v.size + 1)
+    rho = idx[u > (cs - R) / idx][-1]
+    return np.sign(v) * np.maximum(below - (cs[rho - 1] - R) / rho, 0.0)
+
+
+def _separate_project_l1_l2(v, R):
+    """project_l1_l2 from the l1 projection, the l2 projection and a second sort, one by one."""
+    cand = _separate_project_l1(v, R)
+    if np.linalg.norm(cand) <= 1.0 + 1e-15:
+        return cand
+    e = math.frexp(np.abs(v).max())[1]
+    u = np.ldexp(v, -e)
+    n = np.linalg.norm(u)
+    ball = v.copy() if n <= np.ldexp(1.0, -e) else u * (1.0 / n)
+    if np.abs(ball).sum() <= R + 1e-15:
+        return ball
+    mags = np.abs(u)
+    w = np.sign(u) * np.maximum(_full_scan_depth(mags, R) - (mags.max() - mags), 0.0)
+    return w / np.linalg.norm(w)
+
+
+def _branch(v, R):
+    """Which constraints of the intersection bind at its projection of v."""
+    if np.linalg.norm(project_l1(v, R)) <= 1.0 + 1e-15:
+        return "interior" if np.abs(v).sum() <= R else "l1"
+    return "l2" if np.abs(project_l2(v)).sum() <= R + 1e-15 else "both"
+
+
+class TestOneSort:
+    """The projections share one sort of |v| and keep the bits of the separate passes."""
+
+    @staticmethod
+    def _assert_same_bits(v, R):
+        for got, want in ((project_l1(v, R), _separate_project_l1(v, R)),
+                          (project_l1_l2(v, R), _separate_project_l1_l2(v, R))):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("seed", range(2))
-    def test_random_vectors(self, seed):
-        rng = np.random.default_rng(1300 + seed)
-        for _ in range(50):
-            mags = np.abs(rng.standard_normal(1000))
-            R = float(rng.uniform(1.0, mags.sum() / np.linalg.norm(mags)))
-            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+    def test_random_vectors_in_every_branch(self, seed):
+        rng = np.random.default_rng(1600 + seed)
+        seen = dict.fromkeys(("interior", "l1", "l2", "both"), 0)
+        for _ in range(200):
+            v = rng.standard_normal(1000) * 10.0 ** rng.uniform(-2.5, 1.0)
+            R = float(rng.uniform(1.0, 30.0))
+            seen[_branch(v, R)] += 1
+            self._assert_same_bits(v, R)
+        assert min(seen.values()) >= 5, seen
 
     def test_near_ties(self):
-        rng = np.random.default_rng(1400)
+        rng = np.random.default_rng(1700)
         for _ in range(100):
             v, R = _near_tied_case(rng)
-            assert _ratio_depth(np.abs(v), R) == _full_scan_depth(np.abs(v), R)
+            self._assert_same_bits(v * rng.uniform(0.5, 20.0), R)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_flat_magnitudes_fall_back_to_every_entry(self, seed):
-        mags = 1.0 + 1e-3 * np.random.default_rng(1500 + seed).uniform(size=1000)
-        tau = _ratio_depth(mags, 20.0)
-        assert tau == _full_scan_depth(mags, 20.0)
-        # hundreds of entries active, far past the first scan's top 64
-        assert np.count_nonzero(tau - (mags.max() - mags) > 0.0) > 200
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(1800)
+        for _ in range(20):
+            v = rng.standard_normal(1000)
+            v[rng.random(1000) < 0.3] *= 1e-120  # entries that underflow at unit scale
+            self._assert_same_bits(v * scale, float(rng.uniform(1.0, 30.0)))
+
+    def test_ties_and_signed_zeros(self):
+        rng = np.random.default_rng(1900)
+        for _ in range(300):
+            v = rng.choice([-3.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=int(rng.integers(1, 40)))
+            self._assert_same_bits(v, float(rng.uniform(0.5, 6.0)))
 
 
 class TestExactKernel:

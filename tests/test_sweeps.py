@@ -125,6 +125,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=f"^{msg}$"):
             SweepSpec(kind=kind, grid=grid, trials=1, fixed=fixed)
 
+    @pytest.mark.parametrize("mults, msg", [
+        ((0.1,), "m_multipliers value 0.1 gives m = round\\(0.1 log d\\) < 1 at d=30"),
+        ((10, -1), "m_multipliers must be positive and finite, got -1"),
+        ((math.inf,), "m_multipliers must be positive and finite, got inf"),
+        ((math.nan,), "m_multipliers must be positive and finite, got nan"),
+    ])
+    def test_bad_m_multiplier_rejected(self, mults, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            SweepSpec(kind="d", grid=(30, 100), trials=1, fixed={"m_multipliers": mults})
+
+    def test_m_multiplier_checked_at_the_smallest_d(self):
+        # round(0.3 log 30) = 1, round(0.3 log 20) = 1, round(0.3 log 5) = 0
+        assert [c.m for c in sweeps._cells(SweepSpec(
+            kind="d", grid=(20, 30), trials=1, fixed={"s": 2, "m_multipliers": (0.3,)}))] == [1, 1]
+        with pytest.raises(ValueError, match="at d=5$"):
+            SweepSpec(kind="d", grid=(5, 30), trials=1, fixed={"s": 2, "m_multipliers": (0.3,)})
+
     def test_whole_float_counts_accepted(self):
         spec = SweepSpec(kind="m", grid=(20.0, 30), trials=1, fixed={"d": 30.0})
         assert [c.m for c in sweeps._cells(spec)] == [20, 20, 30, 30]
