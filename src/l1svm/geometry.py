@@ -4,7 +4,7 @@ Two feasible sets appear throughout: the l1 ball {||w||_1 <= R} and its
 intersection with the unit l2 ball.  Every routine here is a soft
 thresholding of its input.  Each projection sorts the magnitudes once, and
 the l1 ball's level comes from a scan over them.  Where both constraints of
-the intersection are tight, the projection and the linear maximizer share one
+the the intersection are tight, the projection and the linear maximizer share one
 exact O(d log d) kernel: on sorted magnitudes the level with l1/l2 ratio R
 lies on the interval found by a cumulative-sum scan over the breakpoints, and
 there it is the root of one second-degree equation.
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .model import ConstraintSet
 
 __all__ = [
     "project_l1",
@@ -59,20 +61,16 @@ def project_l1(v, R: float) -> np.ndarray:
     return _l1_candidate(*_sorted_magnitudes(v, R), R)
 
 
-def _l2_ball(v, e: int):
-    """v / 2**e and project_l2(v), for e with max|v_j| in [2**(e-1), 2**e).
+def project_l2(v) -> np.ndarray:
+    """Nearest point of the unit l2 ball: rescale iff outside, with the norm taken at unit scale.
 
-    The division is exact, and at that unit scale the l2 norm stays finite.
+    That is v / 2**e for max|v_j| in [2**(e-1), 2**e): exact, and the norm stays finite.
     """
+    v = np.asarray(v, dtype=float)
+    e = math.frexp(np.abs(v).max(initial=0.0))[1]
     unit = np.ldexp(v, -e)
     n = np.linalg.norm(unit)
-    return unit, v.copy() if n <= np.ldexp(1.0, -e) else unit * (1.0 / n)
-
-
-def project_l2(v) -> np.ndarray:
-    """Nearest point of the unit l2 ball: rescale iff outside, with the norm taken at unit scale."""
-    v = np.asarray(v, dtype=float)
-    return _l2_ball(v, math.frexp(np.abs(v).max(initial=0.0))[1])[1]
+    return v.copy() if n <= np.ldexp(1.0, -e) else unit * (1.0 / n)
 
 
 def _ratio_depth(mags, R: float) -> float:
@@ -124,6 +122,20 @@ def _normalized_soft(v, tau: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
+def _ratio_fit(v, u, R: float) -> np.ndarray:
+    """Unit vector nearest v's direction with l1/l2 ratio <= R, for u = sort(|v|) descending.
+
+    v normalized if its ratio fits (slack 1e-15), else its normalized soft thresholding at
+    ratio R.  Neither depends on scale, so both are found at project_l2's unit scale.
+    """
+    e = math.frexp(u[0])[1]
+    unit = np.ldexp(v, -e)
+    ball = unit * (1.0 / np.linalg.norm(unit))
+    if np.abs(ball).sum() <= R + 1e-15:
+        return ball
+    return _normalized_soft(unit, _sorted_depth(np.ldexp(u, -e), R))  # ldexp(u) stays sorted
+
+
 def project_l1_l2(v, R: float) -> np.ndarray:
     """Nearest point of {||w||_1 <= R} intersected with the unit l2 ball.
 
@@ -137,13 +149,8 @@ def project_l1_l2(v, R: float) -> np.ndarray:
     cand = _l1_candidate(v, mags, total, u, R)
     if np.linalg.norm(cand) <= 1.0 + 1e-15:
         return cand
-    e = math.frexp(u[0])[1]
-    unit, ball = _l2_ball(v, e)
-    if np.abs(ball).sum() <= R + 1e-15:
-        return ball
-    # the answer ignores positive scaling, so it is found at unit scale; ldexp is
-    # monotone, so ldexp(u) is unit's magnitudes sorted
-    return _normalized_soft(unit, _sorted_depth(np.ldexp(u, -e), R))
+    # the l1 candidate shrinks v, so here ||v||_2 > 1 and the l2 projection normalizes v
+    return _ratio_fit(v, u, R)
 
 
 def _tie_direction(k: int, R: float) -> np.ndarray:
@@ -152,8 +159,6 @@ def _tie_direction(k: int, R: float) -> np.ndarray:
     In the limit of strictly sorted perturbations the weights are (p_j - x)_+
     with priorities p = (k, k-1, ..., 1), at the level x where their ratio is R.
     """
-    if R * R >= k:
-        return np.full(k, 1.0 / np.sqrt(k))
     p = np.arange(k, 0, -1, dtype=float)
     return _normalized_soft(p, _ratio_depth(p, R))
 
@@ -163,27 +168,21 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
 
     The maximizer is a normalized soft thresholding of g: w ~ sign(g)(|g|-theta)_+
     with theta = 0 when g's l1/l2 ratio already fits inside R, else the
-    unique theta making the ratio R.  Ties at the top magnitude are broken
-    toward earlier indices, the limit of strictly sorted perturbations.
+    unique theta making the ratio R, as in project_l1_l2.  Ties at the top
+    magnitude are broken toward earlier indices, the limit of sorted perturbations.
     """
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gradient must be finite")
-    if not 1.0 <= R < math.inf:  # ConstraintSet's rule; this module imports nothing from model
-        raise ValueError(f"R must be >= 1 and finite, got {R}")
-    top = np.abs(g).max()
-    if top == 0.0:
+    ConstraintSet("l1l2", R)  # the one check on R
+    if not g.any():
         raise ValueError("zero vector: maximizer undefined")
-    # the maximizer ignores positive scaling; a top magnitude of 1 keeps ||g||_2 finite
-    g = g / top
     mags = np.abs(g)
-    norm2 = np.linalg.norm(g)
-    if mags.sum() <= R * norm2:
-        return g / norm2
-    ties = np.flatnonzero(mags == 1.0)
+    u = np.sort(mags)[::-1]
+    ties = np.flatnonzero(mags == u[0])
     if np.sqrt(ties.size) > R:
         # threshold lands inside the leading tie: weight only those entries
         w = np.zeros(g.size)
         w[ties] = np.sign(g[ties]) * _tie_direction(ties.size, R)
         return w
-    return _normalized_soft(g, _ratio_depth(mags, R))
+    return _ratio_fit(g, u, R)

@@ -91,32 +91,31 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
     XF = np.asfortranarray(X)  # contiguous columns for the support gather; X keeps rows
     w = np.zeros(d)
     active = np.ones(m, dtype=bool)  # every margin is 1 at w = 0
-    g = XF.T @ y
     best_w = w
     best_f = np.inf
     best_hist = []
     converged = False
-    k = 0
-    for k in range(1, max_iters + 1):
-        S = w.nonzero()[0]
-        margins = 1.0 - y * (XF[:, S] @ w[S])
-        f = float(np.add.reduce(np.maximum(margins, 0.0)) / m)  # np.mean's steps and bits
-        if not math.isfinite(f):
-            raise FloatingPointError(f"hinge objective {_OVERFLOW}")
-        if f < best_f:
-            best_f = f
-            best_w = w  # no iterate is written in place
-        best_hist.append(best_f)
-        if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
-            converged = True
-            break
-        # rows sitting exactly on the hinge kink contribute zero
-        new = margins > 0.0
-        g = _update_gradient(g, X, XF, y, active, new, k)
-        active = new
-        # an overflow leaves z, or its l1 norm, non-finite, which the projection rejects
-        with np.errstate(over="ignore"):
-            z = w + (R / math.sqrt(k)) * (g / m)
+    # overflows, and infinities that cancel, show as a non-finite objective or step z
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = XF.T @ y
+        for k in range(1, max_iters + 1):
+            S = w.nonzero()[0]
+            margins = 1.0 - y * (XF[:, S] @ w[S])
+            f = float(np.add.reduce(np.maximum(margins, 0.0)) / m)  # np.mean's steps and bits
+            if not math.isfinite(f):
+                raise FloatingPointError(f"hinge objective {_OVERFLOW}")
+            if f < best_f:
+                best_f = f
+                best_w = w  # no iterate is written in place
+            best_hist.append(best_f)
+            if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
+                converged = True
+                break
+            # rows sitting exactly on the hinge kink contribute zero
+            new = margins > 0.0
+            g = _update_gradient(g, X, XF, y, active, new, k)
+            active = new
+            z = w + (R / math.sqrt(k)) * (g / m)  # the projection rejects a non-finite z
             try:
                 w = project(z, R)
             except ValueError as exc:  # R was checked, so only z can be at fault

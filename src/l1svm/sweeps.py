@@ -79,8 +79,6 @@ class SweepSpec:
             raise ValueError("grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("grid must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("need trials >= 1")
         bad = set(self.methods) - set(METHODS)
         if bad or not self.methods:
             raise ValueError(f"methods must be a nonempty subset of {METHODS}")
@@ -95,15 +93,18 @@ class SweepSpec:
         if unused:
             raise ValueError(f"sweep kind {self.kind!r} does not use option(s) {', '.join(unused)}")
         fixed = {**options, **self.fixed}
+        for key in {"m_values", "m_multipliers"} & set(fixed):  # a bare number is a 1-tuple
+            fixed[key] = tuple(fixed[key]) if np.ndim(fixed[key]) else (fixed[key],)
         scales = [("grid value", v) for v in grid]
         scales += [(key, fixed[key]) for key in ("r", "r_fixed") if fixed.get(key) is not None]
-        mults = np.ravel(fixed.get("m_multipliers", ()))
+        mults = fixed.get("m_multipliers", ())
         scales += [("m_multipliers", v) for v in mults]
         for name, v in scales:
             if not 0 < v < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         # counts are used as given, so a fractional one is refused rather than truncated
-        counts = [(f"{self.kind} grid value", v) for v in grid if self.kind != "r"]
+        counts = [("trials", self.trials)] + [(f"{self.kind} grid value", v) for v in grid
+                                              if self.kind != "r"]
         counts += [(key, v) for key in ("d", "s", "m_values", "max_iters") if key in fixed
                    for v in np.ravel(fixed[key])]
         for name, v in counts:
@@ -113,6 +114,7 @@ class SweepSpec:
             if round(mult * math.log(grid[0])) < 1:
                 raise ValueError(f"m_multipliers value {mult} gives m = round({mult} log d) < 1 "
                                  f"at d={grid[0]}")
+        object.__setattr__(self, "trials", int(self.trials))
         # every option filled in, and read-only, so that no key can join after the checks above
         object.__setattr__(self, "fixed", types.MappingProxyType(fixed))
 

@@ -135,6 +135,25 @@ class TestSolve:
         assert err == ("runtime error: subgradient step overflowed: the data's scale "
                        "times the l1 radius R exceeds floating point range\n")
 
+    @pytest.mark.parametrize("y_head, code, err", [
+        ((1.0,), 0, ""),
+        ((1.0, 1.0, -1.0), 1, "runtime error: hinge objective overflowed: the data's scale "
+                              "times the l1 radius R exceeds floating point range\n"),
+    ])
+    def test_overflowing_margins_print_no_warning(self, tmp_path, capsys, y_head, code, err):
+        # x_{i,2} = 1, and x_{i,1} = 1e300 on the rows y_head labels; y = +1, -1, ... on the
+        # rest.  A huge row labeled -1 makes its margin, and the objective, +inf
+        X = np.zeros((1000, 3))
+        X[:, 1] = 1.0
+        X[:len(y_head), 0] = 1e300
+        y = np.where(np.arange(1000) % 2 == 0, 1.0, -1.0)
+        y[:len(y_head)] = y_head
+        path = tmp_path / "huge.csv"
+        save_training_set(TrainingSet(X=X, y=y), path)
+        got, _, got_err = run(["solve", "--method", "l1", "--data", str(path), "--R", "1e10"],
+                              capsys)
+        assert (got, got_err) == (code, err)
+
     @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
     def test_huge_scale_data_solves(self, tmp_path, capsys, method):
         path = self.huge_data(tmp_path, 1e200)
@@ -222,6 +241,11 @@ class TestSweepCommand:
         assert code == 2
         assert f"sweep kind '{kind}' does not use option(s) {option}" in err
         assert not out.exists()
+
+    def test_zero_trials_exit_2(self, tmp_path, capsys):
+        code, _, err = run(["sweep", "--kind", "r", "--trials", "0", "--d", "30",
+                            "--out", str(tmp_path / "s.csv")], capsys)
+        assert (code, err) == (2, "error: trials must be a whole number >= 1, got 0\n")
 
     def test_bad_grid_exit_2(self, tmp_path, capsys):
         code, _, err = run(["sweep", "--kind", "r", "--grid", "1:0.5:-0.1",

@@ -387,6 +387,44 @@ class TestOneSort:
             self._assert_same_bits(v, float(rng.uniform(0.5, 6.0)))
 
 
+class TestSharedTail:
+    """Past the l1 candidate, project_l1_l2 and max_linear_l1_l2 run one routine, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_maximizer_is_the_projection_tail(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        seen = {"l2": 0, "both": 0}
+        for i in range(100):
+            if i % 2:
+                v, R = _near_tied_case(rng)
+            else:
+                v = rng.standard_normal(int(rng.integers(1, 1201)))
+                R = float(rng.uniform(1.0, max(1.0, min(40.0, 1.5 * np.abs(v).sum()
+                                                          / np.linalg.norm(v)))))
+            v = v * 10.0 ** rng.uniform(-100.0, 100.0)
+            mags = np.abs(v)
+            if np.linalg.norm(project_l1(v, R)) <= 1.0 + 1e-15:
+                continue  # the projection returns its l1 candidate
+            if np.sqrt(np.count_nonzero(mags == mags.max())) > R:
+                continue  # the maximizer takes the limit of perturbed ties
+            seen["l2" if np.abs(project_l2(v)).sum() <= R + 1e-15 else "both"] += 1
+            w, p = max_linear_l1_l2(v, R), project_l1_l2(v, R)
+            assert np.array_equal(w, p)
+            assert np.array_equal(np.signbit(w), np.signbit(p))
+        assert seen["l2"] >= 5 and seen["both"] >= 30, seen
+
+    def test_near_tied_gaps_survive_the_scaling(self):
+        # the top four magnitudes differ in their last few digits; dividing by the top
+        # magnitude rounds those gaps and once moved the maximizer by 1.8e-3
+        g = np.array([-1.9930577557137142e+68, -1.9930577557137137e+68, -1.993057755713723e+68,
+                      -1.9930577557137046e+68, -3.055410888563032e+67, 6.845305696081356e+67,
+                      5.631187768029212e+67])
+        # the 60-digit mpmath maximizer, rounded to doubles
+        want = [-0.08543470706324072, -0.03623200118359519, -0.995684765836683, 0.0, 0.0, 0.0,
+                0.0]
+        assert_allclose(max_linear_l1_l2(g, 1.1173514740835189), want, rtol=0.0, atol=1e-15)
+
+
 class TestExactKernel:
     """Exact optimality of the sort-and-scan kernel where both constraints are tight."""
 

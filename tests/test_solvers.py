@@ -164,6 +164,30 @@ def test_non_finite_objective_raises():
             L.solve_l1_svm(T, 1e100, L.SolverConfig(max_iters=50))
 
 
+def _huge_first_column(y_head):
+    """m=1000, d=3: x_{i,2} = 1, and x_{i,1} = 1e300 on the rows y_head labels; y = +1, -1, ... after."""
+    X = np.zeros((1000, 3))
+    X[:, 1] = 1.0
+    X[:len(y_head), 0] = 1e300
+    y = np.where(np.arange(1000) % 2 == 0, 1.0, -1.0)
+    y[:len(y_head)] = y_head
+    return L.TrainingSet(X=X, y=y)
+
+
+def test_overflowing_margin_is_silent():
+    # the margin product of row 1 overflows to +inf, and the hinge clips its margin to 0;
+    # no local errstate, so a leaked RuntimeWarning fails under the test settings
+    res = L.solve_l1_svm(_huge_first_column((1.0,)), 1e10)
+    assert math.isfinite(res.objective)
+    assert np.abs(res.w_hat).sum() <= 1e10 * (1.0 + 1e-12)
+
+
+def test_overflowing_objective_raises_without_a_warning():
+    # row 3, labeled -1, has margin 1 + inf: the objective is +inf
+    with pytest.raises(FloatingPointError, match="^hinge objective overflowed"):
+        L.solve_l1_svm(_huge_first_column((1.0, 1.0, -1.0)), 1e10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         L.SolverConfig(max_iters=0)

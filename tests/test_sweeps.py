@@ -146,6 +146,28 @@ class TestSpecValidation:
         spec = SweepSpec(kind="m", grid=(20.0, 30), trials=1, fixed={"d": 30.0})
         assert [c.m for c in sweeps._cells(spec)] == [20, 20, 30, 30]
 
+    @pytest.mark.parametrize("bad", [0, 1.5, math.nan, math.inf])
+    def test_non_whole_trials_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"^trials must be a whole number >= 1, got {bad}$"):
+            SweepSpec(kind="r", grid=(1.0,), trials=bad)
+
+    def test_whole_float_trials_stored_as_int(self, tmp_path):
+        spec = tiny_r_spec(grid=(0.5,), trials=3.0)
+        assert spec.trials == 3 and type(spec.trials) is int
+        rows = run_sweep(spec)
+        assert rows == run_sweep(tiny_r_spec(grid=(0.5,)))
+        write_sweep_rows(rows, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text().splitlines()[1].split(",")[10] == "3"
+
+    def test_bare_number_is_a_one_value_tuple(self):
+        spec = tiny_r_spec(grid=(0.5,), fixed={"m_values": 20})
+        assert spec.fixed["m_values"] == (20,)
+        assert run_sweep(spec) == run_sweep(tiny_r_spec(grid=(0.5,), fixed={"m_values": (20,)}))
+        spec = SweepSpec(kind="d", grid=(30,), trials=1, fixed={"s": 2, "m_multipliers": 10})
+        assert spec.fixed["m_multipliers"] == (10,)
+        assert sweeps._cells(spec) == sweeps._cells(dataclasses.replace(
+            spec, fixed={"s": 2, "m_multipliers": (10,)}))
+
     def test_fixed_is_copied(self):
         fixed = {"d": 30, "m_values": (6,)}
         spec = SweepSpec(kind="r", grid=(0.5,), trials=1, fixed=fixed)
