@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--method", choices=("l1", "l1l2", "onebit"), required=True)
     s.add_argument("--data", required=True, help="training-set CSV path")
     s.add_argument("--R", type=float, required=True, help="l1 radius")
-    s.add_argument("--max-iters", type=int, default=5000)
+    s.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
     s.add_argument("--out", default=None, help="write the recovered vector as CSV")
 
     w = sub.add_parser("sweep", help="run an error sweep and write CSV rows")

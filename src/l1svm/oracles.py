@@ -15,6 +15,9 @@ __all__ = [
     "grid_min_hinge",
 ]
 
+_ANGLES = 628_319  # angle_max_linear's grid: a step of about 1e-5 radians
+_HINGE_STEP = 1e-3  # grid_min_hinge's spacing along each axis
+
 
 def _orthobasis(u: np.ndarray) -> list[np.ndarray]:
     # orthonormal complement of a unit vector, d = 2 or 3
@@ -87,30 +90,30 @@ def grid_project(v, R: float, kind: str = "l1") -> np.ndarray:
     return best
 
 
-def angle_max_linear(g, R: float, n_angles: int = 628_319) -> np.ndarray:
+def angle_max_linear(g, R: float) -> np.ndarray:
     """Maximizer of <g, w> over the d = 2 constraint set, by angle grid.
 
     Every extreme point of the set sits on the unit circle when R >= 1, so a
-    dense sweep of angles suffices.  The default step is about 1e-5 radians.
+    dense sweep of _ANGLES angles suffices.
     """
     g = np.asarray(g, dtype=float)
     if g.size != 2:
         raise ValueError("angle oracle is 2-D only")
-    theta = np.arange(n_angles) * (2.0 * np.pi / n_angles)
+    theta = np.arange(_ANGLES) * (2.0 * np.pi / _ANGLES)
     W = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     vals = W @ g
     vals[np.abs(W).sum(axis=1) > R] = -np.inf
     return W[int(np.argmax(vals))]
 
 
-def grid_min_hinge(X, y, R: float, kind: str = "l1", step: float = 1e-3) -> float:
+def grid_min_hinge(X, y, R: float, kind: str = "l1") -> float:
     """Minimum averaged hinge loss over a dense d = 2 grid of the feasible set."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.shape[1] != 2:
         raise ValueError("hinge grid oracle is 2-D only")
     box = R if kind == "l1" else min(R, 1.0)
-    axis = np.arange(-box, box + step / 2, step)
+    axis = np.arange(-box, box + _HINGE_STEP / 2, _HINGE_STEP)
     best = np.inf
     yx = y[:, None] * X
     for w0 in axis:  # one x-slice at a time keeps memory flat

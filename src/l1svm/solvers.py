@@ -58,28 +58,25 @@ _WINDOW = 100
 # iterations between full recomputations of the incremental hinge gradient,
 # so that rounding in its row updates cannot accumulate
 _REFRESH = 64
-# the gradient is recomputed in full when more than m/_FLIPS rows change sign:
-# a row update that large is not reliably cheaper than the dense product (at
-# d=1000 on a 2-vCPU Xeon they cross at 0.42 m for m=400 and 0.18 m for m=800)
-_FLIPS = 4
 _OVERFLOW = "overflowed: the data's scale times the l1 radius R exceeds floating point range"
+_SCALE_OVERFLOW = "overflowed: the data's scale exceeds floating point range"
 
 
 def _update_gradient(g, X, XF, y, active, new, k):
     """Return sum_{new_i} y_i x_i, given g = sum_{active_i} y_i x_i (updated in place).
 
     The rows whose sign changed are added or removed, in O(d flips); on every
-    _REFRESH-th iteration, or when many rows changed, the sum is recomputed.
+    _REFRESH-th iteration the sum is recomputed in full.
     """
-    ch = (new != active).nonzero()[0]
-    if k % _REFRESH == 0 or _FLIPS * ch.size > y.size:
+    if k % _REFRESH == 0:
         return XF.T @ (y * new)
+    ch = (new != active).nonzero()[0]
     if ch.size:
         g += X[ch].T @ np.where(new[ch], y[ch], -y[ch])
     return g
 
 
-def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
+def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project) -> SolverResult:
     """Projected subgradient descent with steps eta_k = R / sqrt(k); returns the best iterate.
 
     Iterates stay sparse, so margins are computed from the iterate's support
@@ -95,78 +92,78 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project):
     best_f = np.inf
     best_hist = []
     converged = False
-    # overflows, and infinities that cancel, show as a non-finite objective or step z
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = XF.T @ y
-        for k in range(1, max_iters + 1):
-            S = w.nonzero()[0]
-            margins = 1.0 - y * (XF[:, S] @ w[S])
-            f = float(np.add.reduce(np.maximum(margins, 0.0)) / m)  # np.mean's steps and bits
-            if not math.isfinite(f):
-                raise FloatingPointError(f"hinge objective {_OVERFLOW}")
-            if f < best_f:
-                best_f = f
-                best_w = w  # no iterate is written in place
-            best_hist.append(best_f)
-            if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
-                converged = True
-                break
-            # rows sitting exactly on the hinge kink contribute zero
-            new = margins > 0.0
-            g = _update_gradient(g, X, XF, y, active, new, k)
-            active = new
-            z = w + (R / math.sqrt(k)) * (g / m)  # the projection rejects a non-finite z
-            try:
-                w = project(z, R)
-            except ValueError as exc:  # R was checked, so only z can be at fault
-                raise FloatingPointError(f"subgradient step {_OVERFLOW}") from exc
-    return best_w, best_f, k, converged
+    g = XF.T @ y
+    for k in range(1, max_iters + 1):
+        S = w.nonzero()[0]
+        margins = 1.0 - y * (XF[:, S] @ w[S])
+        f = float(np.add.reduce(np.maximum(margins, 0.0)) / m)  # np.mean's steps and bits
+        if not math.isfinite(f):
+            raise FloatingPointError(f"hinge objective {_OVERFLOW}")
+        if f < best_f:
+            best_f = f
+            best_w = w  # no iterate is written in place
+        best_hist.append(best_f)
+        if k > _WINDOW and best_hist[-_WINDOW - 1] - best_f < _TOL:
+            converged = True
+            break
+        # rows sitting exactly on the hinge kink contribute zero
+        new = margins > 0.0
+        g = _update_gradient(g, X, XF, y, active, new, k)
+        active = new
+        z = w + (R / math.sqrt(k)) * (g / m)  # the projection rejects a non-finite z
+        try:
+            w = project(z, R)
+        except ValueError as exc:  # R was checked, so only z can be at fault
+            raise FloatingPointError(f"subgradient step {_OVERFLOW}") from exc
+    return SolverResult(w_hat=best_w, objective=best_f, iterations=k, converged=converged)
 
 
-def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, project):
-    """Check the inputs, run the projected subgradient solve and check its feasibility."""
+def _linear_maximizer(T: TrainingSet, R: float, max_iters: int) -> SolverResult:
+    """The sign baseline's closed form: w maximizes the linear objective <X^T y, w>."""
+    g = T.X.T @ T.y
+    if not g.any():
+        raise ValueError("labeled sample sum is zero: maximizer undefined")
+    if not np.isfinite(g).all():
+        raise FloatingPointError(f"labeled sample sum {_SCALE_OVERFLOW}")
+    w = max_linear_l1_l2(g, R)
+    return SolverResult(w, float(g @ w), iterations=0, converged=True, objective_kind="linear")
+
+
+def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, find, *args):
+    """Check the inputs, find w with `find(T, R, max_iters, *args)` and check the result."""
     cfg = SolverConfig() if cfg is None else cfg
     if not isinstance(cfg, SolverConfig):
         raise TypeError("cfg must be a SolverConfig")
     feasible = ConstraintSet(kind, R)
-    w_hat, f_hat, iters, converged = _projected_subgradient(T, R, cfg.max_iters, project)
-    if not feasible.contains(w_hat):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf - inf are checked
+        res = find(T, R, cfg.max_iters, *args)
+    if not feasible.contains(res.w_hat):
         raise RuntimeError("solver produced an infeasible point")
-    return SolverResult(w_hat=w_hat, objective=f_hat, iterations=iters, converged=converged)
+    if not math.isfinite(res.objective):  # <g, w> can overflow where g and w do not
+        raise FloatingPointError(f"{res.objective_kind} objective {_SCALE_OVERFLOW}")
+    return res
 
 
 def solve_l1_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R}."""
-    return _solve(T, R, cfg, "l1", project_l1)
+    return _solve(T, R, cfg, "l1", _projected_subgradient, project_l1)
 
 
 def solve_l1_l2_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R, ||w||_2 <= 1}."""
-    return _solve(T, R, cfg, "l1l2", project_l1_l2)
+    return _solve(T, R, cfg, "l1l2", _projected_subgradient, project_l1_l2)
 
 
-def solve_one_bit_cs(T: TrainingSet, R: float) -> SolverResult:
+def solve_one_bit_cs(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Maximize sum_i y_i <x_i, w> over {||w||_1 <= R, ||w||_2 <= 1}, in closed form.
 
     The result stores the linear objective <g, w>, not the hinge loss; the
-    objective_kind flag says so.
+    objective_kind flag says so.  The config is checked but sets nothing.
     """
-    feasible = ConstraintSet("l1l2", R)
-    g = T.X.T @ T.y
-    if not g.any():
-        raise ValueError("labeled sample sum is zero: maximizer undefined")
-    w = max_linear_l1_l2(g, R)
-    if not feasible.contains(w):
-        raise RuntimeError("solver produced an infeasible point")
-    return SolverResult(w_hat=w, objective=float(g @ w), iterations=0, converged=True,
-                        objective_kind="linear")
+    return _solve(T, R, cfg, "l1l2", _linear_maximizer)
 
 
-# method name -> solver(T, R, cfg); the closed-form sign baseline ignores the config.
-# Wrapping a solver function also wraps the calls made through this table, but only in
-# the process that wraps it: spawned sweep workers import the module afresh
-SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm,
-           "one_bit_cs": lambda T, R, cfg: solve_one_bit_cs(T, R)}
+SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm, "one_bit_cs": solve_one_bit_cs}
 
 
 def recovery_error(a, result) -> RecoveryError:

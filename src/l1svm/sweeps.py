@@ -54,9 +54,9 @@ METHODS = tuple(SOLVERS)
 # the `fixed` options each sweep kind reads, with their defaults; any other key is
 # rejected.  The d sweep's r of None means r = sqrt(m)/30 at each sample count.
 _OPTIONS = {
-    "r": {"d": 1000, "m_values": (200, 400), "max_iters": 5000},
-    "m": {"d": 1000, "r_fixed": 0.75, "max_iters": 5000},
-    "d": {"s": 5, "m_multipliers": (10, 20, 40), "r": None, "max_iters": 5000},
+    "r": {"d": 1000, "m_values": (200, 400), "max_iters": SolverConfig.max_iters},
+    "m": {"d": 1000, "r_fixed": 0.75, "max_iters": SolverConfig.max_iters},
+    "d": {"s": 5, "m_multipliers": (10, 20, 40), "r": None, "max_iters": SolverConfig.max_iters},
 }
 
 

@@ -154,6 +154,23 @@ class TestSolve:
                               capsys)
         assert (got, got_err) == (code, err)
 
+    @pytest.mark.parametrize("method, err", [
+        ("l1", "subgradient step overflowed: the data's scale times the l1 radius R"),
+        ("l1l2", "subgradient step overflowed: the data's scale times the l1 radius R"),
+        ("onebit", "labeled sample sum overflowed: the data's scale"),
+    ], ids=["l1", "l1l2", "onebit"])
+    def test_overflowing_sum_exit_1(self, tmp_path, capsys, method, err):
+        # x_{1,1} = x_{2,1} = 1e308 on two rows labeled +1: sum_i y_i x_i overflows
+        X = np.zeros((4, 3))
+        X[:, 1] = 1.0
+        X[:2, 0] = 1e308
+        path = tmp_path / "huge.csv"
+        save_training_set(TrainingSet(X=X, y=np.array([1.0, 1.0, -1.0, 1.0])), path)
+        code, _, text = run(["solve", "--method", method, "--data", str(path), "--R", "2"],
+                            capsys)
+        assert code == 1
+        assert text == f"runtime error: {err} exceeds floating point range\n"
+
     @pytest.mark.parametrize("method", ["l1", "l1l2", "onebit"])
     def test_huge_scale_data_solves(self, tmp_path, capsys, method):
         path = self.huge_data(tmp_path, 1e200)

@@ -273,13 +273,11 @@ def test_matches_dense_reference_averaged_and_capped(kind, monkeypatch):
     assert _assert_matches_dense(kind, T, a.l1_norm, capped, monkeypatch) == 80
 
 
-def test_gradient_row_updates_stay_within_rounding():
-    """Over a 5000-iteration solve's worth of row updates, g tracks the exact sum.
+def _row_update_drift(flips):
+    """Run 5000 row updates of g, `flips` random rows changing sign per step.
 
-    Three rows flip per step, as in the m-sweep.  Checked against an
-    extended-precision sum just before each periodic refresh, the worst error
-    is about 5e-14 (a dense recomputation alone is off by about 3.5e-14);
-    without the refresh the same sequence drifts to about 2e-13.
+    Returns the worst max|g - exact| and the largest max|exact|, with `exact`
+    an extended-precision sum taken just before each periodic refresh.
     """
     rng = np.random.default_rng(5)
     m, d = 400, 200
@@ -288,17 +286,45 @@ def test_gradient_row_updates_stay_within_rounding():
     y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     active = np.ones(m, dtype=bool)
     g = XF.T @ y
-    worst = 0.0
+    worst = scale = 0.0
     for k in range(1, 5001):
         new = active.copy()
-        rows = rng.choice(m, 3, replace=False)
+        rows = rng.choice(m, flips, replace=False)
         new[rows] = ~new[rows]
         g = solvers._update_gradient(g, X, XF, y, active, new, k)
         active = new
         if (k + 1) % solvers._REFRESH == 0 or k == 5000:
             exact = X.astype(np.longdouble).T @ (y * active).astype(np.longdouble)
             worst = max(worst, float(np.abs(g - exact).max()))
+            scale = max(scale, float(np.abs(exact).max()))
+    return worst, scale
+
+
+def test_gradient_row_updates_stay_within_rounding():
+    """Over a 5000-iteration solve's worth of row updates, g tracks the exact sum.
+
+    Three rows flip per step, as in the m-sweep.  Checked against an
+    extended-precision sum just before each periodic refresh, the worst error
+    is about 5e-14 (a dense recomputation alone is off by about 3.5e-14);
+    without the refresh the same sequence drifts to about 2e-13.
+    """
+    worst, _ = _row_update_drift(3)
     assert worst < 1e-13
+
+
+@pytest.mark.parametrize("flips", [100, 200, 350])
+def test_gradient_row_updates_stay_within_rounding_when_many_rows_flip(flips):
+    """Every step updates g by its changed rows, however many of the 400 changed."""
+    worst, scale = _row_update_drift(flips)
+    assert worst < 1e-14 * scale
+
+
+def _overflowing_sum():
+    """m=4, d=3: x_{1,1} = x_{2,1} = 1e308, both labeled +1, so (X^T y)_1 is inf."""
+    X = np.zeros((4, 3))
+    X[:, 1] = 1.0
+    X[:2, 0] = 1e308
+    return L.TrainingSet(X=X, y=np.array([1.0, 1.0, -1.0, 1.0]))
 
 
 class TestOneBit:
@@ -338,6 +364,17 @@ class TestOneBit:
         T = L.TrainingSet(X=X, y=y)
         with pytest.raises(ValueError):
             L.solve_one_bit_cs(T, 1.0)
+
+    def test_overflowing_sum_raises_without_a_warning(self):
+        # no local errstate, so a leaked RuntimeWarning fails under the test settings
+        with pytest.raises(FloatingPointError, match="overflowed"):
+            L.solve_one_bit_cs(_overflowing_sum(), 2.0)
+
+    def test_overflowing_objective_raises_without_a_warning(self):
+        # g = (1.5e308, 1.5e308) is finite, but <g, w> at w = (1, 1)/sqrt(2) is not
+        T = L.TrainingSet(X=np.array([[1.5e308, 1.5e308]]), y=np.array([1.0]))
+        with pytest.raises(FloatingPointError, match="^linear objective overflowed"):
+            L.solve_one_bit_cs(T, 2.0)
 
     @pytest.mark.parametrize("bad", [[1.4, 0.0, 0.0], [1.05, 0.0, 0.0], [np.nan, 0.0, 0.0]],
                              ids=["l1", "l2", "nan"])
