@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from l1svm import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
-from l1svm.geometry import _ratio_depth
+from l1svm.geometry import _HEAD, _ratio_depth
 from l1svm.oracles import angle_max_linear, grid_project
 
 
@@ -612,3 +612,153 @@ class TestMaxLinear:
         w = max_linear_l1_l2(g, R)
         ref = angle_max_linear(g, R)
         assert np.linalg.norm(w - ref) < 1e-4
+
+
+def _separate_max_linear(g, R):
+    """max_linear_l1_l2 with its own sort and _full_scan_depth: a frozen reference for its bits."""
+    mags = np.abs(g)
+    ties = np.flatnonzero(mags == mags.max())
+    if np.sqrt(ties.size) > R:
+        p = np.arange(ties.size, 0, -1, dtype=float)
+        q = np.maximum(_full_scan_depth(p, R) - (p.max() - p), 0.0)
+        w = np.zeros(g.size)
+        w[ties] = np.sign(g[ties]) * (q / np.linalg.norm(q))
+        return w
+    e = math.frexp(mags.max())[1]
+    u = np.ldexp(g, -e)
+    ball = u * (1.0 / np.linalg.norm(u))
+    if np.abs(ball).sum() <= R + 1e-15:
+        return ball
+    um = np.abs(u)
+    w = np.sign(u) * np.maximum(_full_scan_depth(um, R) - (um.max() - um), 0.0)
+    return w / np.linalg.norm(w)
+
+
+def _assert_frozen_bits(v, R):
+    """Every routine on (v, R) keeps the bits of its frozen reference, signed zeros included."""
+    pairs = [(project_l1(v, R), _separate_project_l1(v, R)),
+             (project_l1_l2(v, R), _separate_project_l1_l2(v, R))]
+    mags = np.abs(v)
+    if R >= 1.0 and mags.any():
+        pairs.append((max_linear_l1_l2(v, R), _separate_max_linear(v, R)))
+        if np.sqrt(np.count_nonzero(mags == mags.max())) <= R < np.sqrt(v.size):
+            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+    for got, want in pairs:
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _level_between(u, k):
+    """The soft-threshold level halfway between the k-th and (k+1)-th of u sorted descending."""
+    return 0.5 * (u[k - 1] + (u[k] if k < u.size else 0.0))
+
+
+class TestLeadingScan:
+    """The level scans read only the leading _HEAD sorted magnitudes, and hand over to the
+    scan over all of them past the head: both sides keep the frozen references' bits."""
+
+    @pytest.mark.parametrize("k", [1, _HEAD - 1, _HEAD, _HEAD + 1, 300])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_active_counts_across_the_head(self, k, seed):
+        rng = np.random.default_rng(2300 + seed)
+        for _ in range(10):
+            v = rng.standard_normal(1000) * 10.0 ** rng.uniform(-2.0, 2.0)
+            u = np.sort(np.abs(v))[::-1]
+            theta = _level_between(u, k)
+            R_l1 = float((u[:k] - theta).sum())
+            assert np.count_nonzero(project_l1(v, R_l1)) == k
+            _assert_frozen_bits(v, R_l1)
+            q = u[:k] - theta
+            R_ratio = max(1.0, float(q.sum() / np.linalg.norm(q)))
+            assert np.count_nonzero(max_linear_l1_l2(v, R_ratio)) == k
+            for scale in (1.0, 1e3 / u[0]):  # the second puts project_l1_l2 past its candidate
+                _assert_frozen_bits(v * scale, R_ratio)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, _HEAD - 1, _HEAD, _HEAD + 1])
+    def test_dimensions_at_and_below_the_head(self, d):
+        rng = np.random.default_rng(2400 + d)
+        for _ in range(150):
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(-3.0, 3.0)
+            if rng.random() < 0.3:
+                v[rng.random(d) < 0.5] = 0.0
+            _assert_frozen_bits(v, float(rng.uniform(0.1, 1.5 * np.sqrt(d) + 1.0)))
+
+    @pytest.mark.parametrize("ties", [_HEAD - 1, _HEAD, _HEAD + 1, _HEAD + 5])
+    def test_tied_top_magnitudes_across_the_head(self, ties):
+        rng = np.random.default_rng(2500 + ties)
+        for _ in range(40):
+            v = rng.standard_normal(int(rng.integers(ties, 400)))
+            v[:ties] = 4.0 * rng.choice([-1.0, 1.0], ties)
+            _assert_frozen_bits(rng.permutation(v), float(rng.uniform(1.0, 12.0)))
+
+    def test_tie_group_straddling_the_head(self):
+        rng = np.random.default_rng(2600)
+        for _ in range(100):
+            v = rng.standard_normal(int(rng.integers(_HEAD + 4, 500)))
+            u = np.sort(np.abs(v))[::-1]
+            c = u[_HEAD - 3]
+            v[np.abs(v) <= c] *= 0.5
+            v[rng.choice(v.size, 7, replace=False)] = c  # sorted near the head's end
+            lead = np.abs(v)[np.abs(v) > c]
+            for R in (float(rng.uniform(1.0, 20.0)), float((lead - c).sum())):  # 2nd: level c
+                _assert_frozen_bits(v, R)
+
+    def test_magnitude_tied_with_the_level(self):
+        """R puts the l1 level on a group of tied magnitudes, where the rounded test of the
+        scan over all entries can pass again after a miss; the head scan must hand over."""
+        rng = np.random.default_rng(2700)
+        non_prefix = 0
+        for _ in range(400):
+            k0, t = int(rng.integers(1, _HEAD)), int(rng.integers(2, 60))
+            lead = rng.uniform(0.5, 3.0, k0) * 10.0 ** int(rng.integers(-3, 4))
+            c = float(lead.min() * rng.uniform(0.1, 0.99))
+            rest = 0.99 * c * rng.uniform(size=int(rng.integers(0, 200)))
+            v = np.concatenate((lead, np.full(t, c), rest))
+            v *= rng.choice([-1.0, 1.0], v.size)
+            R = math.fsum(lead - c) * (1.0 + int(rng.integers(-2, 3)) * 2.0 ** -52)
+            below = np.sort(np.abs(v))[::-1] - np.abs(v).max()
+            passes = below > (np.cumsum(below) - R) / np.arange(1, v.size + 1)
+            non_prefix += bool(np.any(passes[np.argmin(passes):])) and not passes.all()
+            _assert_frozen_bits(v, R)
+        assert non_prefix >= 50  # the passing counts are not a prefix in these inputs
+
+
+def _two_entry_candidate_near(target, R=1.2):
+    """v = (p, q, small entries) whose l1 candidate at R has np.linalg.norm exactly target.
+
+    The two leading entries stay active with soft-threshold level 0.5; p moves by ulps,
+    from the point where the candidate's norm is 1, until the norm lands on target.
+    """
+    a = 0.5 * (R + math.sqrt(2.0 - R * R))  # (a, R - a) has l1 norm R and l2 norm 1
+    small = 0.1 * np.random.default_rng(2800).uniform(size=30)
+    p0 = a + 0.5
+    for i in range(4000):
+        v = np.concatenate(([p0 + i * math.ulp(p0), R - a + 0.5], small))
+        if np.linalg.norm(_separate_project_l1(v, R)) == target:
+            return v
+    raise AssertionError("no ulp step lands on the target norm")
+
+
+class TestCandidateNormMargin:
+    """project_l1_l2 picks its branch from the head's norm of the l1 candidate, but takes the
+    exact `<= 1 + 1e-15` test on the full candidate when that norm lies within 1e-12 of 1."""
+
+    @pytest.mark.parametrize("steps", [-2, -1, 0, 1, 2])
+    def test_both_sides_of_the_exact_test(self, steps):
+        target = 1.0 + 1e-15
+        for _ in range(abs(steps)):
+            target = np.nextafter(target, 2.0 if steps > 0 else 0.0)
+        v, R = _two_entry_candidate_near(target), 1.2
+        cand = _separate_project_l1(v, R)
+        w = project_l1_l2(v, R)
+        assert np.array_equal(w, _separate_project_l1_l2(v, R))
+        assert np.array_equal(w, cand) == (steps <= 0)  # at 1 + 1e-15 the candidate is kept
+
+    def test_l2_ball_branch(self):
+        rng = np.random.default_rng(2900)
+        v = rng.standard_normal(40) * 10.0
+        R = 1.05 * float(np.abs(v).sum() / np.linalg.norm(v))
+        assert _branch(v, R) == "l2"
+        w = project_l1_l2(v, R)
+        assert np.array_equal(w, _separate_project_l1_l2(v, R))
+        assert_allclose(w, v / np.linalg.norm(v), rtol=1e-15)
