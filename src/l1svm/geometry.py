@@ -8,13 +8,15 @@ both constraints of the intersection are tight, the one whose l1/l2 ratio is
 R, which the projection and the linear maximizer share and which is then the
 root of one second-degree equation.
 
-The projected points keep few entries, so each scan first reads only the
-leading _HEAD magnitudes, as Python floats, in the operations and order of the
-cumulative-sum scan over all d; its results carry the same bits.  The vector
-scan over all d takes over when the level lies past the head, and, for the l1
-level, when rounding could make a later breakpoint pass.  project_l1_l2 then
-takes its l1 candidate's l2 norm from those leading entries, and builds the
-candidate for the exact test only when that norm is within 1e-12 of 1.
+Both scans run in Python floats, in the float operations and order of a
+cumulative-sum scan over all d, so their results carry its bits, and first
+read only the leading _HEAD magnitudes.  The ratio scan is that one scan: it
+converts the rest of the magnitudes only if it runs past the head.  The l1
+level keeps a numpy scan over all d, which takes over when the level lies past
+the head, as most do at large r on supports of about 150 entries, where a
+Python scan is slower, or when rounding could make a later breakpoint pass.
+project_l1_l2 takes its l1 candidate's l2 norm from the leading entries, and
+builds the candidate for the exact test only when that norm is within 1e-12 of 1.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ def _sorted_magnitudes(v, R: float):
     if not R > 0:
         raise ValueError("radius must be positive")
     mags = np.abs(v)
-    total = mags.sum()
+    u = np.sort(mags)[::-1]
+    if u.size and float(u[0]) * u.size < 2.0 ** 1023:  # below d max|v|, it cannot overflow
+        total = mags.sum()
+    else:  # np.errstate costs about 1 us, so only a sum that may overflow runs under it
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            total = mags.sum()
     if not math.isfinite(total):
         raise ValueError("vector must be finite, with a finite l1 norm")
-    return v, mags, total, np.sort(mags)[::-1]
+    return v, mags, total, u
 
 
 # leading sorted magnitudes that the level scans read as Python floats; the
@@ -91,9 +98,10 @@ def _l1_level(u, R: float):
     return rho, float(q[rho - 1])
 
 
-def _l1_soft(v, mags, top, level: float) -> np.ndarray:
-    """sign(v) ((|v| - top) - level)_+: the l1 candidate at a level measured down from the top."""
-    return np.sign(v) * np.maximum((mags - top) - level, 0.0)
+def _soft(v, mags, top, depth: float) -> np.ndarray:
+    """sign(v) (depth - (top - |v|))_+: the soft thresholding of v at the level top - depth,
+    measured down from the top magnitude so that near-tied magnitudes keep their differences."""
+    return np.sign(v) * np.maximum(depth - (top - mags), 0.0)
 
 
 def project_l1(v, R: float) -> np.ndarray:
@@ -107,7 +115,7 @@ def project_l1(v, R: float) -> np.ndarray:
     if total <= R:
         return v.copy()
     _, level = _head_l1_level(u, R) or _l1_level(u, R)
-    return _l1_soft(v, mags, u[0], level)
+    return _soft(v, mags, u[0], -level)
 
 
 def project_l2(v) -> np.ndarray:
@@ -116,7 +124,10 @@ def project_l2(v) -> np.ndarray:
     That is v / 2**e for max|v_j| in [2**(e-1), 2**e): exact, and the norm stays finite.
     """
     v = np.asarray(v, dtype=float)
-    e = math.frexp(np.abs(v).max(initial=0.0))[1]
+    top = np.abs(v).max(initial=0.0)
+    if not math.isfinite(top):
+        raise ValueError("vector must be finite")
+    e = math.frexp(top)[1]
     unit = np.ldexp(v, -e)
     n = np.linalg.norm(unit)
     return v.copy() if n <= np.ldexp(1.0, -e) else unit * (1.0 / n)
@@ -142,58 +153,41 @@ def _ratio_depth(mags, R: float) -> float:
 
 
 def _sorted_depth(u, R: float) -> float:
-    """_ratio_depth for magnitudes u already sorted descending; the head scan finds the
-    active count, and the scan over all of u only when the head does not hold it."""
+    """_ratio_depth for magnitudes u already sorted descending.
+
+    One scan in Python floats finds k, by the float operations of cumulative sums over all
+    of u in their order; it converts u past the leading _HEAD entries only if it runs past
+    them.  While the active entries all tie at the top, l1 is 0 and the ratio test void.
+    """
     d = u.size
-    k_top, k = _head_reach(u, R) or _reach(u, R)
-    if k == k_top or k <= R * R:
-        return float(u[0] - (u[k] if k < d else 0.0))
+    x = u[:_HEAD].tolist()
+    n = len(x)
+    rr = R * R
+    l1 = l2sq = 0.0
+    for k in range(1, d + 1):
+        if k == n:
+            x += u[n:].tolist() + [0.0]  # the all-active interval runs on below 0
+        gap = x[k - 1] - x[k]  # at the breakpoint theta = u_{k+1}
+        kgap = k * gap
+        l2sq += gap * (2.0 * l1 + kgap)  # sum_{j<=k} (u_j - u_{k+1})^2
+        l1 += kgap  # sum_{j<=k} (u_j - u_{k+1})
+        if l1 > 0.0 and l1 * l1 >= rr * l2sq:
+            break  # else k = d: the last interval holds the level
+    if x[k - 1] == x[0] or k <= rr:  # tied active entries, or no root: take the breakpoint
+        return x[0] - x[k]
     t = u[0] - u[:k]  # depths of the active entries, exact near the top
     mean = np.add.reduce(t) / k  # numpy's mean and std, step for step, so with their bits
     dev = t - mean
-    tau = float(mean + R * math.sqrt(np.add.reduce(dev * dev) / k) / math.sqrt(k - R * R))
+    tau = float(mean + R * math.sqrt(np.add.reduce(dev * dev) / k) / math.sqrt(k - rr))
     if k < d:
-        tau = min(tau, float(u[0] - u[k]))
+        tau = min(tau, x[0] - x[k])
     return max(tau, float(t[-1]))
 
 
-def _head_reach(u, R: float):
-    """(k_top, k) of _reach from the head of u, by its float operations in its order; None
-    if the head has no breakpoint at or past k_top whose ratio reaches R."""
-    head = u[:_HEAD].tolist()
-    n, d = len(head), u.size
-    k_top = head.count(head[0])
-    rr = R * R
-    l1 = l2sq = 0.0
-    for k in range(1, n if n < d else d + 1):  # past the head the next breakpoint is unknown
-        gap = head[k - 1] - (head[k] if k < n else 0.0)
-        kgap = k * gap
-        l2sq += gap * (2.0 * l1 + kgap)
-        l1 += kgap
-        if k >= k_top and (l1 * l1 >= rr * l2sq or k == d):
-            return k_top, k
-    return None
-
-
-def _reach(u, R: float):
-    """(k_top, k): the count k_top of entries tied at the top, and the first active count
-    k >= k_top whose breakpoint's ratio reaches R, by a cumulative-sum scan over all of u."""
-    d = u.size
-    below = np.concatenate((u[1:], [0.0]))  # breakpoint theta = u_{k+1}
-    gap = u - below
-    kgap = np.arange(1, d + 1) * gap
-    l1 = np.cumsum(kgap)  # sum_{j<=k} (u_j - u_{k+1})
-    l2sq = np.cumsum(gap * (2.0 * np.concatenate(([0.0], l1[:-1])) + kgap))  # sum of their squares
-    k_top = int(np.count_nonzero(u == u[0]))
-    reach = l1[k_top - 1:] ** 2 >= R * R * l2sq[k_top - 1:]
-    reach[-1] = True  # the all-active interval runs on below 0
-    return k_top, k_top + int(np.argmax(reach))
-
-
-def _normalized_soft(v, tau: float) -> np.ndarray:
-    """sign(v) (|v| - theta)_+ at unit l2 norm, for the level theta = max|v| - tau."""
-    mags = np.abs(v)
-    w = np.sign(v) * np.maximum(tau - (mags.max() - mags), 0.0)
+def _ratio_soft(v, u, R: float) -> np.ndarray:
+    """sign(v) (|v| - theta)_+ at unit l2 norm, at the level theta where its l1/l2 ratio is
+    R, for u = sort(|v|) descending."""
+    w = _soft(v, np.abs(v), u[0], _sorted_depth(u, R))
     return w / np.linalg.norm(w)
 
 
@@ -210,7 +204,7 @@ def _ratio_fit(v, u, R: float) -> np.ndarray:
         return ball
     # ldexp(u) stays sorted; it is taken on the ascending sort, as numpy's ldexp is several
     # times slower on the reversed view
-    return _normalized_soft(unit, _sorted_depth(np.ldexp(u[::-1], -e)[::-1], R))
+    return _ratio_soft(unit, np.ldexp(u[::-1], -e)[::-1], R)
 
 
 def project_l1_l2(v, R: float) -> np.ndarray:
@@ -234,22 +228,12 @@ def project_l1_l2(v, R: float) -> np.ndarray:
             kept = u[:rho].tolist()
             norm = math.hypot(*[(x - kept[0]) - level for x in kept])
             if abs(norm - 1.0) > 1e-12:
-                return _l1_soft(v, mags, u[0], level) if norm < 1.0 else _ratio_fit(v, u, R)
-        cand = _l1_soft(v, mags, u[0], level)
+                return _soft(v, mags, u[0], -level) if norm < 1.0 else _ratio_fit(v, u, R)
+        cand = _soft(v, mags, u[0], -level)
     if math.sqrt(cand.dot(cand)) <= 1.0 + 1e-15:  # np.linalg.norm's steps and bits
         return cand
     # the l1 candidate shrinks v, so here ||v||_2 > 1 and the l2 projection normalizes v
     return _ratio_fit(v, u, R)
-
-
-def _tie_direction(k: int, R: float) -> np.ndarray:
-    """Unit-norm weights for k magnitude-tied leaders, ||.||_1/||.||_2 = R < sqrt(k).
-
-    In the limit of strictly sorted perturbations the weights are (p_j - x)_+
-    with priorities p = (k, k-1, ..., 1), at the level x where their ratio is R.
-    """
-    p = np.arange(k, 0, -1, dtype=float)
-    return _normalized_soft(p, _sorted_depth(p, R))
 
 
 def max_linear_l1_l2(g, R: float) -> np.ndarray:
@@ -270,8 +254,10 @@ def max_linear_l1_l2(g, R: float) -> np.ndarray:
     u = np.sort(mags)[::-1]
     ties = np.flatnonzero(mags == u[0])
     if np.sqrt(ties.size) > R:
-        # threshold lands inside the leading tie: weight only those entries
+        # the level lands inside the leading tie: in the limit of sorted perturbations the
+        # weights are (p_j - x)_+ on the priorities p = (k, ..., 1), at ratio R
+        p = np.arange(ties.size, 0, -1, dtype=float)
         w = np.zeros(g.size)
-        w[ties] = np.sign(g[ties]) * _tie_direction(ties.size, R)
+        w[ties] = np.sign(g[ties]) * _ratio_soft(p, p, R)
         return w
     return _ratio_fit(g, u, R)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,21 @@ class TestProjectL1:
     def test_rejects_non_finite_input(self, bad):
         with pytest.raises(ValueError, match="finite"):
             project_l1(np.array([1.0, bad, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("project", [project_l1, project_l1_l2])
+    def test_overflowing_l1_norm_raises_without_a_warning(self, project):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                project(np.array([1e308, 1e308]), 2.0)
+
+    def test_l1_norm_near_the_float_limit(self):
+        """d max|v| passes 2**1023, yet the l1 norm is finite: no warning, and the usual point."""
+        v = np.array([1e308, 5e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(project_l1(v, 2.0), [2.0, 0.0])
+            assert_allclose(project_l1_l2(v, 2.0), np.array([2.0, 1.0]) / np.sqrt(5.0), rtol=1e-15)
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
@@ -536,6 +552,15 @@ class TestExactKernel:
             assert _ratio_depth(v, R) == 2.0  # level 0
 
 
+class TestProjectL2:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                project_l2(np.array([bad, 1.0]))
+
+
 class TestHugeScale:
     """Past the l1 candidate the projections ignore scale, so 1e200 inputs must not overflow."""
 
@@ -654,10 +679,11 @@ def _level_between(u, k):
 
 
 class TestLeadingScan:
-    """The level scans read only the leading _HEAD sorted magnitudes, and hand over to the
-    scan over all of them past the head: both sides keep the frozen references' bits."""
+    """The level scans read the leading _HEAD sorted magnitudes first; past the head the ratio
+    scan reads on, and the l1 level hands over to the numpy scan over all of them.  Both
+    sides keep the frozen references' bits."""
 
-    @pytest.mark.parametrize("k", [1, _HEAD - 1, _HEAD, _HEAD + 1, 300])
+    @pytest.mark.parametrize("k", [1, _HEAD - 1, _HEAD, _HEAD + 1, 300, 999, 1000])
     @pytest.mark.parametrize("seed", range(2))
     def test_active_counts_across_the_head(self, k, seed):
         rng = np.random.default_rng(2300 + seed)
