@@ -6,8 +6,10 @@ against Monte Carlo, the projections and the linear maximizer against an
 exhaustive grid, and the bound formulas against hand-derived identities.
 
 The lemma7 Monte Carlo estimates and the projections grid-oracle calls run
-on `sweeps._map`'s pool, one spawned worker per CPU, so a script calling
-those suites or `run_suite` needs the `if __name__ == "__main__":` guard.
+on `sweeps._map`'s pool, one spawned worker per CPU.  The pool starts on the
+first pooled call of the process, serves every later sweep and check, and
+exits with the interpreter; a script calling those suites or `run_suite`
+needs the `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ There is one task per training set and trial.  It returns the classifier's l1
 norm once and one named record per method solved on the set; a row averages
 its method's records field by field.  Tasks are independent, so `run_sweep`
 solves them, last grid point first, on one spawned worker process per CPU the
-caller may run on, each with one BLAS thread.  A caller restricted to one CPU
-runs them in process.
+caller may run on, each with one BLAS thread.  The workers start with the
+first sweep, serve every later sweep and check of the process, and exit with
+the interpreter.  A caller restricted to one CPU runs them in process.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import threading
 import types
 import warnings
 from collections.abc import Mapping
@@ -259,10 +261,43 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def _init_worker(filters: list) -> None:
-    """Give a spawned worker the caller's warning filters, which it does not inherit."""
-    warnings.resetwarnings()
-    warnings.filters.extend(filters)
+def _call(filters: list, fn, *args):
+    """fn(*args) under the caller's warning filters, which a spawned worker does not inherit."""
+    if warnings.filters != filters:  # reset only on a change, so "default" still shows once
+        warnings.resetwarnings()
+        warnings.filters.extend(filters)
+    return fn(*args)
+
+
+# this process's pool, as (pid, workers, executor); started by the first pooled `_map`
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int):
+    """The process's pool of `workers` spawned workers: the cached one, or a new one."""
+    global _pool
+    # imported here: they cost about 20 ms, which callers that never sweep need not pay
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    key = (os.getpid(), workers)
+    with _pool_lock:
+        if _pool is None or _pool[:2] != key:
+            if _pool is not None and _pool[0] == key[0]:
+                _pool[2].shutdown()  # another size: its workers exit before new ones start
+            # a forked child's copy of its parent's pool is left alone
+            _pool = (*key, ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
+        return _pool[2]
+
+
+def _drop(pool) -> None:
+    """Forget a broken pool, so that the next call starts afresh, once its workers are reaped."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and _pool[2] is pool:
+            _pool = None
+    pool.shutdown()
 
 
 def _map(fn, tasks: list) -> list:
@@ -271,21 +306,33 @@ def _map(fn, tasks: list) -> list:
     It serves the sweep trials and the `lemma7` and `projections` checks.
     Workers are spawned, not forked, and each runs one BLAS thread: two
     processes that each start BLAS's default thread count oversubscribe the
-    CPUs and are no faster than one.  A worker's exception reaches the caller
-    with its own type, and every worker has exited when this returns.
+    CPUs and are no faster than one.  They start on the first pooled call,
+    serve every later one, and exit with the interpreter, which joins them;
+    the pool is started afresh only in a forked child, when the CPU count
+    changes, or after a worker died (the call that saw it raises
+    `BrokenProcessPool`).  Each task runs under the warning filters the
+    caller has at this call.  A task's exception reaches the caller with its
+    own type, once the call's tasks that have not started are cancelled.
     """
-    workers = min(_workers(), len(tasks))
-    if workers < 2:
+    workers = _workers()
+    if min(workers, len(tasks)) < 2:
         return [fn(*task) for task in tasks]
-    # imported here: they cost about 20 ms, which callers that never sweep need not pay
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(workers, mp_context=get_context("spawn"), initializer=_init_worker,
-                             initargs=(warnings.filters,)) as pool:
-        with _one_blas_thread():  # map submits every task, and the workers start, inside
-            results = pool.map(fn, *zip(*tasks))
-        return list(results)
+    pool = _executor(workers)
+    filters = list(warnings.filters)  # the tasks are pickled later, on the pool's thread
+    futures = []
+    try:
+        with _one_blas_thread():  # a worker starts inside the submit that needs it
+            for task in tasks:
+                futures.append(pool.submit(_call, filters, fn, *task))
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
+        _drop(pool)
+        raise
+    finally:
+        for future in futures:
+            future.cancel()  # a no-op on the tasks that have started or finished
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

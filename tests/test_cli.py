@@ -1,5 +1,4 @@
 import functools
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -387,13 +386,13 @@ class TestCheckCommand:
         assert code == 2
         assert "FAIL x" in text
 
-    def test_worker_value_error_exit_2(self, capsys, monkeypatch):
+    def test_worker_value_error_exit_2(self, capsys, monkeypatch, pool_workers):
         monkeypatch.setattr(sweeps, "_workers", lambda: 2)
         monkeypatch.setitem(checks.SUITES, "lemma7",
                             functools.partial(checks.lemma7_suite, n_tuples=2, n_samples=999))
         code, text, err = run(["check", "--suite", "lemma7"], capsys)
         assert (code, text, err) == (2, "", "error: need at least 1000 samples\n")
-        assert multiprocessing.active_children() == []
+        pool_workers()
 
     def test_runtime_failure_exit_1(self, capsys, monkeypatch):
         def boom(name):

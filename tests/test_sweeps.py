@@ -1,9 +1,12 @@
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
+import subprocess
+import sys
+import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -449,14 +452,14 @@ class TestWorkerPool:
         return lambda n: monkeypatch.setattr(sweeps, "_workers", lambda: n)
 
     @pytest.mark.parametrize("kind", ["r", "m", "d"])
-    def test_rows_identical_in_process_and_pooled(self, kind, workers, tmp_path):
+    def test_rows_identical_in_process_and_pooled(self, kind, workers, pool_workers, tmp_path):
         environ = dict(os.environ)
         workers(1)
         one = run_sweep(GOLDEN_SPECS[kind])
         workers(2)
         two = run_sweep(GOLDEN_SPECS[kind])
         assert two == one
-        assert multiprocessing.active_children() == []
+        pool_workers()
         assert dict(os.environ) == environ  # the one-thread BLAS settings are undone
         write_sweep_rows(two, tmp_path / "sweep.csv")
         assert (tmp_path / "sweep.csv").read_bytes() == (GOLDEN / f"sweep_{kind}.csv").read_bytes()
@@ -466,19 +469,84 @@ class TestWorkerPool:
         names = [(name,) for name in sweeps._BLAS_THREADS]
         assert sweeps._map(os.getenv, names) == ["1"] * len(names)
 
-    def test_worker_exception_keeps_its_type(self, workers):
+    def test_consecutive_calls_share_one_pool(self, workers, pool_workers):
+        workers(2)
+        sweeps._map(os.getpid, [()] * 4)
+        first = pool_workers()
+        assert set(sweeps._map(os.getpid, [()] * 4)) <= set(first)
+        assert pool_workers() == first
+
+    def test_pool_follows_the_cpu_count(self, workers, pool_workers):
+        workers(2)
+        sweeps._map(os.getpid, [()] * 2)
+        two = pool_workers()
+        old = sweeps._pool[2]  # still referenced, as by a traceback's frame, so not collected
+        workers(3)
+        sweeps._map(os.getpid, [()] * 3)
+        three = pool_workers()  # the two-worker pool has exited all the same
+        assert len(three) == 3 and not set(three) & set(two)
+        del old
+
+    def test_worker_exception_keeps_its_type(self, workers, pool_workers):
         workers(2)
         good = sweeps._cells(tiny_r_spec())[0]
         cfg = SolverConfig()
         tasks = [(dataclasses.replace(good, m=0), 9, 0, cfg), (good, 9, 0, cfg)]
         with pytest.raises(ValueError, match="need m >= 1"):
             sweeps._map(sweeps._trial, tasks)
-        assert multiprocessing.active_children() == []
+        pool_workers()
 
-    def test_worker_warning_obeys_caller_filters(self, workers):
+    def test_worker_warning_obeys_caller_filters(self, workers, pool_workers):
         workers(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="raised in a worker"):
                 sweeps._map(warnings.warn, [("raised in a worker", RuntimeWarning)] * 2)
-        assert multiprocessing.active_children() == []
+        pool_workers()
+
+    def test_each_call_brings_its_own_warning_filters(self, workers):
+        workers(2)
+        tasks = [("raised in a worker", RuntimeWarning)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="raised in a worker"):
+                sweeps._map(warnings.warn, tasks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert sweeps._map(warnings.warn, tasks) == [None, None]
+
+    def test_dead_worker_breaks_only_its_call(self, workers, pool_workers):
+        workers(2)
+        sweeps._map(os.getpid, [()] * 2)
+        before = pool_workers()
+        with pytest.raises(BrokenProcessPool):
+            sweeps._map(os._exit, [(1,)] * 2)
+        assert sweeps._map(math.sqrt, [(4.0,), (9.0,)]) == [2.0, 3.0]
+        assert not set(pool_workers()) & set(before)  # a fresh pool
+
+    def test_failed_call_cancels_its_queued_tasks(self, workers):
+        workers(2)
+        sweeps._map(os.getpid, [()] * 2)  # the pool is up before the clock starts
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="sleep length must be non-negative"):
+            sweeps._map(time.sleep, [(-1,)] + [(0.5,)] * 20)
+        assert sweeps._map(math.sqrt, [(4.0,), (9.0,)]) == [2.0, 3.0]
+        # the 20 sleeps take 5 s on two workers; only those already sent may run
+        assert time.monotonic() - start < 5.0
+
+    def test_workers_exit_with_the_interpreter(self):
+        # a script that makes a pooled call and exits without closing anything
+        code = ("import multiprocessing, os\n"
+                "from l1svm import sweeps\n"
+                "sweeps._workers = lambda: 2\n"
+                "sweeps._map(os.getpid, [()] * 4)\n"
+                "print(*sorted(p.pid for p in multiprocessing.active_children()))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert (out.returncode, out.stderr) == (0, "")
+        pids = [int(pid) for pid in out.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
