@@ -5,11 +5,12 @@ returns one CheckResult per comparison family: the expected hinge losses
 against Monte Carlo, the projections and the linear maximizer against an
 exhaustive grid, and the bound formulas against hand-derived identities.
 
-The lemma7 Monte Carlo estimates and the projections grid-oracle calls run
-on `sweeps._map`'s pool, one spawned worker per CPU.  The pool starts on the
-first pooled call of the process, serves every later sweep and check, and
-exits with the interpreter; a script calling those suites or `run_suite`
-needs the `if __name__ == "__main__":` guard.
+The lemma7 Monte Carlo estimates run on threads of the calling process, one
+per CPU.  The projections grid-oracle calls run on `sweeps._map`'s pool, one
+spawned worker per CPU.  The pool starts on the first pooled call of the
+process, serves every later sweep and check, and exits with the interpreter;
+a script calling `projections_suite` or `run_suite` needs the
+`if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 from .geometry import max_linear_l1_l2, project_l1, project_l1_l2
 from .model import RngSeed, as_generator
 from .oracles import angle_max_linear, grid_project
-from .sweeps import _map
-from .theory import (OverlapCoords, expected_fa_a, expected_fa_w, gaussian_max_norm_bounds,
-                     hinge_gaussian_integral, monte_carlo_fa, proof_constant_057,
-                     thm1_bound, thm2_lower_bound, thm3_sample_size, thm8_bound)
+from .sweeps import _map, _workers
+from .theory import (OverlapCoords, _mc_buffers, _monte_carlo, _sample_count, expected_fa_a,
+                     expected_fa_w, gaussian_max_norm_bounds, hinge_gaussian_integral,
+                     proof_constant_057, thm1_bound, thm2_lower_bound, thm3_sample_size,
+                     thm8_bound)
 
 __all__ = [
     "CheckResult",
@@ -64,11 +66,33 @@ def sample_overlap_tuples(n: int, seed: RngSeed = _SEED) -> list[OverlapCoords]:
 
 
 def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckResult]:
-    """Closed-form expectation vs Monte Carlo, 3-standard-error agreement."""
+    """Closed-form expectation vs Monte Carlo, 3-standard-error agreement.
+
+    The estimates run on one thread per CPU of the process, or in the caller's thread
+    on one CPU; the numpy fills and loops they spend their time in release the GIL.
+    """
     tuples = sample_overlap_tuples(n_tuples)
-    # each estimate draws from its own stream, so the pool changes no bit of it
-    estimates = _map(monte_carlo_fa, [(o, n_samples, RngSeed(_SEED.base, i + 1))
-                                      for i, o in enumerate(tuples)])
+    n = _sample_count(n_samples)
+    threads = max(min(_workers(), n_tuples), 1)
+    estimates = [None] * n_tuples
+
+    def estimate(k: int) -> None:
+        # every threads-th tuple from the k-th, on buffers allocated once per thread; each
+        # estimate draws from its own stream, so the threads change no bit of it
+        buffers = _mc_buffers(n)
+        for i in range(k, n_tuples, threads):
+            estimates[i] = _monte_carlo(tuples[i], n, as_generator(RngSeed(_SEED.base, i + 1)),
+                                        *buffers)
+
+    if threads == 1:
+        estimate(0)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(estimate, range(threads)))  # re-raises a thread's exception
+    # expected_fa_w loads scipy.special (about 19 MB): after the estimates, its load does not
+    # add to their blocks at the peak RSS
     hits = 0
     worst = 0.0
     for o, (mean, se) in zip(tuples, estimates):

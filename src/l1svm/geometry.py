@@ -191,17 +191,21 @@ def _ratio_soft(v, u, R: float) -> np.ndarray:
     return w / np.linalg.norm(w)
 
 
-def _ratio_fit(v, u, R: float) -> np.ndarray:
+def _ratio_fit(v, u, R: float, l1: float = 0.0) -> np.ndarray:
     """Unit vector nearest v's direction with l1/l2 ratio <= R, for u = sort(|v|) descending.
 
     v normalized if its ratio fits (slack 1e-15), else its normalized soft thresholding at
     ratio R.  Neither depends on scale, so both are found at project_l2's unit scale.
+    A caller that has l1 = ||v||_1 skips the ratio test where l1 / top > R^2 (1 + 1e-9):
+    as ||v||_2^2 <= top ||v||_1, the ratio then exceeds R by about 5e-10 R, far more than
+    the test's rounding, so the test would fail.
     """
     e = math.frexp(u[0])[1]
     unit = np.ldexp(v, -e)
-    ball = unit * (1.0 / np.linalg.norm(unit))
-    if np.abs(ball).sum() <= R + 1e-15:
-        return ball
+    if not l1 / u[0] > R * R * (1.0 + 1e-9):
+        ball = unit * (1.0 / np.linalg.norm(unit))
+        if np.abs(ball).sum() <= R + 1e-15:
+            return ball
     # ldexp(u) stays sorted; it is taken on the ascending sort, as numpy's ldexp is several
     # times slower on the reversed view
     return _ratio_soft(unit, np.ldexp(u[::-1], -e)[::-1], R)
@@ -228,12 +232,12 @@ def project_l1_l2(v, R: float) -> np.ndarray:
             kept = u[:rho].tolist()
             norm = math.hypot(*[(x - kept[0]) - level for x in kept])
             if abs(norm - 1.0) > 1e-12:
-                return _soft(v, mags, u[0], -level) if norm < 1.0 else _ratio_fit(v, u, R)
+                return _soft(v, mags, u[0], -level) if norm < 1.0 else _ratio_fit(v, u, R, total)
         cand = _soft(v, mags, u[0], -level)
     if math.sqrt(cand.dot(cand)) <= 1.0 + 1e-15:  # np.linalg.norm's steps and bits
         return cand
     # the l1 candidate shrinks v, so here ||v||_2 > 1 and the l2 projection normalizes v
-    return _ratio_fit(v, u, R)
+    return _ratio_fit(v, u, R, total)
 
 
 def max_linear_l1_l2(g, R: float) -> np.ndarray:

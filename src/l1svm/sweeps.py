@@ -14,8 +14,9 @@ norm once and one named record per method solved on the set; a row averages
 its method's records field by field.  Tasks are independent, so `run_sweep`
 solves them, last grid point first, on one spawned worker process per CPU the
 caller may run on, each with one BLAS thread.  The workers start with the
-first sweep, serve every later sweep and check of the process, and exit with
-the interpreter.  A caller restricted to one CPU runs them in process.
+first sweep, serve every later sweep and the projections check of the
+process, and exit with the interpreter.  A caller restricted to one CPU runs
+them in process.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _drop(pool) -> None:
 def _map(fn, tasks: list) -> list:
     """[fn(*task) for task in tasks], in order; on one worker per CPU when there are several.
 
-    It serves the sweep trials and the `lemma7` and `projections` checks.
+    It serves the sweep trials and the `projections` check.
     Workers are spawned, not forked, and each runs one BLAS thread: two
     processes that each start BLAS's default thread count oversubscribe the
     CPUs and are no faster than one.  They start on the first pooled call,

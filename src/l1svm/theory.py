@@ -224,35 +224,61 @@ def thm8_bound(eps: float, r: float) -> float:
     return math.sqrt(math.pi / 2.0) * eps / (r * -math.expm1(-1.0 / (2.0 * r * r)))
 
 
-def monte_carlo_fa(o: OverlapCoords, n_samples: int, seed) -> tuple[float, float]:
-    """Sample mean and standard error of [1 - c r |t1| - c_prime r t2]_+."""
+def _sample_count(n_samples) -> int:
+    """n_samples as an int: a whole float counts as its integer, any other value is refused."""
+    if not (-math.inf < n_samples < math.inf and n_samples == int(n_samples)):
+        raise ValueError(f"n_samples must be a whole number, got {n_samples}")
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    rng = as_generator(seed)
+    return int(n_samples)
+
+
+_BLOCK = 1_000_000  # samples per block: its sum and its sum of squares are one pairwise sum each
+_PART = 16_384  # samples per part of a block: t2 and the part's values stay in cache
+
+
+def _mc_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t1 block and the part buffer of `_monte_carlo` for n samples."""
+    return np.empty(min(n, _BLOCK)), np.empty(min(n, _PART))
+
+
+def _monte_carlo(o: OverlapCoords, n: int, rng, block, part) -> tuple[float, float]:
+    """monte_carlo_fa's estimate from the generator rng, in the buffers of `_mc_buffers(n)`.
+
+    Per block the stream holds all of its t1 draws, then all of its t2 draws.  So t1
+    fills the block first, and t2 is drawn into `part` a part at a time and combined
+    with the block's values there, by the steps of max(1 - (c r)|t1| - (c' r) t2, 0).
+    """
     total = 0.0
     total_sq = 0.0
-    # two blocks of storage for the whole call; the in-place steps repeat the
-    # expression max(1 - (c r)|t1| - (c' r) t2, 0) operation for operation
-    size = min(n_samples, 1_000_000)
-    buf1, buf2 = np.empty(size), np.empty(size)
-    left = n_samples
-    while left > 0:
-        block = min(left, size)
-        vals, t2 = buf1[:block], buf2[:block]
+    ct, cpt = o.c * o.r, o.c_prime * o.r
+    for start in range(0, n, block.size):
+        vals = block[:min(block.size, n - start)]
         rng.standard_normal(out=vals)
-        rng.standard_normal(out=t2)
-        np.abs(vals, out=vals)
-        np.multiply(o.c * o.r, vals, out=vals)
-        np.subtract(1.0, vals, out=vals)
-        np.multiply(o.c_prime * o.r, t2, out=t2)
-        np.subtract(vals, t2, out=vals)
-        np.maximum(vals, 0.0, out=vals)
+        for lo in range(0, vals.size, part.size):
+            seg = vals[lo:lo + part.size]
+            t2 = part[:seg.size]
+            rng.standard_normal(out=t2)
+            np.abs(seg, out=seg)
+            np.multiply(ct, seg, out=seg)
+            np.subtract(1.0, seg, out=seg)
+            np.multiply(cpt, t2, out=t2)
+            np.subtract(seg, t2, out=seg)
+            np.maximum(seg, 0.0, out=seg)
         total += float(vals.sum())
-        total_sq += float(np.multiply(vals, vals, out=t2).sum())
-        left -= block
-    mean = total / n_samples
-    var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-    return mean, math.sqrt(var / n_samples)
+        total_sq += float(np.multiply(vals, vals, out=vals).sum())
+    mean = total / n
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def monte_carlo_fa(o: OverlapCoords, n_samples: int, seed) -> tuple[float, float]:
+    """Sample mean and standard error of [1 - c r |t1| - c_prime r t2]_+.
+
+    n_samples is a whole number >= 1000; a whole float such as 2e6 counts as its integer.
+    """
+    n = _sample_count(n_samples)
+    return _monte_carlo(o, n, as_generator(seed), *_mc_buffers(n))
 
 
 def gaussian_max_norm_bounds(d: int) -> tuple[float, float]:

@@ -1,38 +1,115 @@
+import multiprocessing
 import os
-from concurrent.futures.process import _RemoteTraceback
+import sys
+import tracemalloc
 
 import pytest
 
-from l1svm import checks, sweeps
-
-SMALL_SUITES = {
-    "lemma7": lambda: checks.lemma7_suite(n_tuples=4, n_samples=1000),
-    "projections": lambda: checks.projections_suite(n_inputs=4),
-}
+from l1svm import checks, sweeps, theory
+from l1svm.model import RngSeed
 
 
 class TestCheckPool:
-    """The Monte Carlo and grid-oracle calls run on `sweeps._map`; `_workers` picks the path."""
+    """The projections grid-oracle calls run on `sweeps._map`; `_workers` picks the path."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
         return lambda n: monkeypatch.setattr(sweeps, "_workers", lambda: n)
 
-    @pytest.mark.parametrize("suite", sorted(SMALL_SUITES))
+    @pytest.mark.parametrize("suite", ["projections"])
     def test_results_identical_in_process_and_pooled(self, suite, workers, pool_workers):
         environ = dict(os.environ)
         workers(1)
-        one = SMALL_SUITES[suite]()
+        one = checks.SUITES[suite](n_inputs=4)
         workers(2)
-        two = SMALL_SUITES[suite]()
+        two = checks.SUITES[suite](n_inputs=4)
         assert two == one
         assert all(res.passed for res in two)
         pool_workers()
         assert dict(os.environ) == environ  # the one-thread BLAS settings are undone
 
-    def test_worker_error_reaches_caller_unchanged(self, workers, pool_workers):
+
+class TestLemma7Threads:
+    """The Monte Carlo estimates run on threads of the calling process, one per CPU."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(checks, "_workers", lambda: n)
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Fail any use of the process pool, and check that no child process appears."""
+        def refuse(n):
+            raise AssertionError("lemma7 started the process pool")
+        monkeypatch.setattr(sweeps, "_executor", refuse)
+        before = sorted(p.pid for p in multiprocessing.active_children())
+        yield
+        assert sorted(p.pid for p in multiprocessing.active_children()) == before
+
+    def test_results_identical_on_one_and_two_threads(self, workers, no_pool):
+        workers(1)
+        one = checks.lemma7_suite(n_tuples=5, n_samples=1000)
         workers(2)
-        with pytest.raises(ValueError, match="^need at least 1000 samples$") as info:
+        two = checks.lemma7_suite(n_tuples=5, n_samples=1000)
+        assert two == one
+        assert all(res.passed for res in two)
+
+    def test_more_threads_than_cpus_lose_no_estimate(self, workers, no_pool):
+        # five threads on a short switch interval write to one shared list
+        workers(1)
+        one = checks.lemma7_suite(n_tuples=12, n_samples=1000)
+        workers(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            five = checks.lemma7_suite(n_tuples=12, n_samples=1000)
+        finally:
+            sys.setswitchinterval(interval)
+        assert five == one
+
+    def test_estimates_are_monte_carlo_fa(self, workers, no_pool, monkeypatch):
+        # the threads call the shared kernel, whose estimates are monte_carlo_fa's bits
+        seen = {}
+        kernel = checks._monte_carlo
+
+        def spy(o, n, rng, block, part):
+            seen[o] = res = kernel(o, n, rng, block, part)
+            return res
+        monkeypatch.setattr(checks, "_monte_carlo", spy)
+        workers(2)
+        checks.lemma7_suite(n_tuples=3, n_samples=1500)
+        tuples = checks.sample_overlap_tuples(3)
+        assert [seen[o] for o in tuples] == [
+            theory.monte_carlo_fa(o, 1500, RngSeed(checks._SEED.base, i + 1))
+            for i, o in enumerate(tuples)]
+
+    def test_sample_error_reaches_caller_unchanged(self, workers, no_pool):
+        workers(2)
+        with pytest.raises(ValueError, match="^need at least 1000 samples$"):
             checks.lemma7_suite(n_tuples=4, n_samples=999)
-        assert isinstance(info.value.__cause__, _RemoteTraceback)  # raised in a worker
-        pool_workers()
+
+    def test_thread_error_reaches_caller_unchanged(self, workers, no_pool, monkeypatch):
+        kernel = checks._monte_carlo
+        third = checks.sample_overlap_tuples(3)[2]
+
+        def fail_on_third(o, n, rng, block, part):
+            if o == third:
+                raise ArithmeticError("third estimate")
+            return kernel(o, n, rng, block, part)
+        monkeypatch.setattr(checks, "_monte_carlo", fail_on_third)
+        workers(2)
+        with pytest.raises(ArithmeticError, match="^third estimate$"):
+            checks.lemma7_suite(n_tuples=4, n_samples=1000)
+
+    def test_buffers_allocated_once_per_thread(self, workers):
+        # two threads hold one 8 MB t1 block and one part buffer each: about 16.4 MB.
+        # Two monte_carlo_fa calls at once, each with its own two blocks, would need 32 MB
+        theory.expected_fa_w(theory.OverlapCoords(0.5, 0.5, 1.0))  # scipy.special loaded first
+        workers(2)
+        tracemalloc.start()
+        try:
+            checks.lemma7_suite(n_tuples=8, n_samples=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6

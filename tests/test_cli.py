@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -386,13 +387,22 @@ class TestCheckCommand:
         assert code == 2
         assert "FAIL x" in text
 
-    def test_worker_value_error_exit_2(self, capsys, monkeypatch, pool_workers):
-        monkeypatch.setattr(sweeps, "_workers", lambda: 2)
+    @pytest.mark.parametrize("n,message", [
+        (999, "need at least 1000 samples"),
+        (1500.5, "n_samples must be a whole number, got 1500.5"),
+    ], ids=["below_floor", "fractional"])
+    def test_sample_count_error_exit_2(self, capsys, monkeypatch, n, message):
+        # the lemma7 estimates run on threads of this process: the pool stays unused
+        def refuse(workers):
+            raise AssertionError("lemma7 started the process pool")
+        monkeypatch.setattr(sweeps, "_executor", refuse)
+        monkeypatch.setattr(checks, "_workers", lambda: 2)
         monkeypatch.setitem(checks.SUITES, "lemma7",
-                            functools.partial(checks.lemma7_suite, n_tuples=2, n_samples=999))
+                            functools.partial(checks.lemma7_suite, n_tuples=2, n_samples=n))
+        children = sorted(p.pid for p in multiprocessing.active_children())
         code, text, err = run(["check", "--suite", "lemma7"], capsys)
-        assert (code, text, err) == (2, "", "error: need at least 1000 samples\n")
-        pool_workers()
+        assert (code, text, err) == (2, "", f"error: {message}\n")
+        assert sorted(p.pid for p in multiprocessing.active_children()) == children
 
     def test_runtime_failure_exit_1(self, capsys, monkeypatch):
         def boom(name):

@@ -429,6 +429,22 @@ class TestSharedTail:
             assert np.array_equal(np.signbit(w), np.signbit(p))
         assert seen["l2"] >= 5 and seen["both"] >= 30, seen
 
+    @pytest.mark.parametrize("side,norms", [(-1.0, 1), (1.0, 2)], ids=["skipped", "run"])
+    def test_ratio_test_skipped_only_past_its_bound(self, side, norms, monkeypatch):
+        # ||v||_2^2 <= top ||v||_1, so past ||v||_1 > top R^2 (1 + 1e-9) the ratio of v exceeds
+        # R and project_l1_l2 skips the ratio test: one l2 norm (the soft thresholding's) in
+        # place of two.  On both sides the result is the maximizer's, which always tests
+        rng = np.random.default_rng(2700)
+        v = rng.standard_normal(200) * 50.0
+        mags = np.abs(v)
+        R = math.sqrt(mags.sum() / mags.max() / (1.0 + 1e-9)) * (1.0 + side * 1e-12)
+        norm, calls = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm", lambda x: calls.append(x.size) or norm(x))
+        p = project_l1_l2(v, R)
+        assert len(calls) == norms
+        monkeypatch.undo()
+        assert p.tobytes() == max_linear_l1_l2(v, R).tobytes()
+
     def test_near_tied_gaps_survive_the_scaling(self):
         # the top four magnitudes differ in their last few digits; dividing by the top
         # magnitude rounds those gaps and once moved the maximizer by 1.8e-3

@@ -360,6 +360,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             L.monte_carlo_fa(L.OverlapCoords(0.5, 0.5, 1.0), 999, L.RngSeed(1))
 
+    @pytest.mark.parametrize("n", [999.0, 0, -5])
+    def test_whole_count_below_floor(self, n):
+        with pytest.raises(ValueError, match="^need at least 1000 samples$"):
+            L.monte_carlo_fa(L.OverlapCoords(0.5, 0.5, 1.0), n, L.RngSeed(1))
+
+    @pytest.mark.parametrize("n", [1500.5, 999.5, math.nan, math.inf, -math.inf])
+    def test_non_whole_count_refused(self, n):
+        with pytest.raises(ValueError, match=f"^n_samples must be a whole number, got {n}$"):
+            L.monte_carlo_fa(L.OverlapCoords(0.5, 0.5, 1.0), n, L.RngSeed(1))
+
+    @pytest.mark.parametrize("n", [1500.0, 2e6])
+    def test_whole_float_count_runs_as_its_integer(self, n):
+        o = L.OverlapCoords(0.5, 0.5, 1.0)
+        assert L.monte_carlo_fa(o, n, L.RngSeed(1)) == L.monte_carlo_fa(o, int(n), L.RngSeed(1))
+
     def test_se_shrinks_like_root_n(self):
         o = L.OverlapCoords(c=0.3, c_prime=0.7, r=1.5)
         _, s1 = L.monte_carlo_fa(o, 200_000, L.RngSeed(7))
@@ -373,9 +388,13 @@ class TestMonteCarlo:
         # one block of fewer than 1M samples
         (L.OverlapCoords(c=-0.3, c_prime=0.2, r=0.7), 1500, L.RngSeed(3, 2),
          (1.1700556154657757, 0.004913936053281)),
-    ], ids=["three_blocks", "one_short_block"])
+        # one short block of several 16384-sample parts, the last one partial
+        (L.OverlapCoords(c=0.45, c_prime=0.5, r=2.2), 70_001, L.RngSeed(11, 3),
+         (0.6111309839489961, 0.0029614687811878333)),
+    ], ids=["three_blocks", "one_short_block", "several_parts"])
     def test_frozen_bits(self, o, n, seed, frozen):
-        # values of the version that allocated fresh temporaries per block
+        # values of the versions that allocated fresh temporaries per block, and that
+        # combined each block whole
         assert L.monte_carlo_fa(o, n, seed) == frozen
 
 
