@@ -7,11 +7,10 @@ evaluates the matching non-asymptotic error and sample-size bounds, and wraps
 both in a seeded sweep harness with CSV output.
 """
 
-from .model import (ConstraintSet, RngSeed, SparseClassifier, TrainingSet, as_generator,
-                    benchmark_classifier, generate_training_set, hinge_objective,
-                    load_classifier, load_training_set, make_random_classifier,
-                    save_classifier, save_training_set)
-from .geometry import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+from .model import (RngSeed, SparseClassifier, TrainingSet, as_generator, benchmark_classifier,
+                    generate_training_set, hinge_objective, load_classifier, load_training_set,
+                    make_random_classifier, save_classifier, save_training_set)
+from .geometry import ConstraintSet, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
 from .solvers import (RecoveryError, SolverConfig, SolverResult, recovery_error,
                       solve_l1_l2_svm, solve_l1_svm, solve_one_bit_cs)
 from .theory import (BoundReport, ConcentrationBound, HypothesisWarning, OverlapCoords,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import max_linear_l1_l2, project_l1, project_l1_l2
+from .geometry import ConstraintSet, max_linear_l1_l2, project_l1_l2
 from .model import RngSeed, as_generator
 from .oracles import angle_max_linear, grid_project
 from .sweeps import _map, _workers
@@ -68,12 +68,15 @@ def sample_overlap_tuples(n: int, seed: RngSeed = _SEED) -> list[OverlapCoords]:
 def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckResult]:
     """Closed-form expectation vs Monte Carlo, 3-standard-error agreement.
 
-    The estimates run on one thread per CPU of the process, or in the caller's thread
+    It passes when all but 3 of the n_tuples estimates agree, and at least one does.  The
+    estimates run on one thread per CPU of the process, or in the caller's thread
     on one CPU; the numpy fills and loops they spend their time in release the GIL.
     """
+    if n_tuples < 1:
+        raise ValueError(f"need at least 1 tuple, got n_tuples = {n_tuples}")
     tuples = sample_overlap_tuples(n_tuples)
     n = _sample_count(n_samples)
-    threads = max(min(_workers(), n_tuples), 1)
+    threads = min(_workers(), n_tuples)
     estimates = [None] * n_tuples
 
     def estimate(k: int) -> None:
@@ -100,7 +103,7 @@ def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckRe
         worst = max(worst, z)
         if z <= 3.0:
             hits += 1
-    need = n_tuples - 3
+    need = max(n_tuples - 3, 1)
     return [CheckResult(
         name="expected loss closed form vs monte carlo",
         passed=hits >= need,
@@ -130,17 +133,17 @@ def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
     rng = as_generator(_SEED)
     results = []
 
-    kinds = (("l1", project_l1), ("l1l2", project_l1_l2))
+    kinds = ("l1", "l1l2")
     # every input drawn first, in the serial order: neither the projections nor the
     # oracle reads rng, so the draws after this block see the same state
     inputs = [(rng.standard_normal(2 + i % 2) * 2.0, float(rng.uniform(1.0, 2.0)), kind)
-              for kind, _ in kinds for i in range(n_inputs)]
+              for kind in kinds for i in range(n_inputs)]
     refs = zip(inputs, _map(grid_project, inputs))
-    for kind, proj in kinds:
+    for kind in kinds:
         worst_pt = 0.0
         worst_d2 = 0.0
         for (v, R, _), w_ref in itertools.islice(refs, n_inputs):
-            w = proj(v, R)
+            w = ConstraintSet(kind, R).project(v)
             worst_pt = max(worst_pt, float(np.linalg.norm(w - w_ref)))
             worst_d2 = max(worst_d2, abs(float(((w - v) ** 2).sum() - ((w_ref - v) ** 2).sum())))
         results.append(CheckResult(

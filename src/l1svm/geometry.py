@@ -1,12 +1,13 @@
-"""Euclidean projections and linear maximization over norm-ball constraint sets.
+"""The two feasible sets, their Euclidean projections, and linear maximization over them.
 
 Two feasible sets appear throughout: the l1 ball {||w||_1 <= R} and its
-intersection with the unit l2 ball.  Every routine here is a soft
-thresholding of its input.  Each projection sorts the magnitudes once.  Two
-levels come from scans over the sorted magnitudes: the l1 ball's, and, where
-both constraints of the intersection are tight, the one whose l1/l2 ratio is
-R, which the projection and the linear maximizer share and which is then the
-root of one second-degree equation.
+intersection with the unit l2 ball.  ConstraintSet names one of them and its
+radius; it is the only place that pairs each set with its projection.  Every
+routine here is a soft thresholding of its input.  Each projection sorts the
+magnitudes once.  Two levels come from scans over the sorted magnitudes: the
+l1 ball's, and, where both constraints of the intersection are tight, the one
+whose l1/l2 ratio is R, which the projection and the linear maximizer share
+and which is then the root of one second-degree equation.
 
 Both scans run in Python floats, in the float operations and order of a
 cumulative-sum scan over all d, so their results carry its bits, and first
@@ -22,17 +23,45 @@ builds the candidate for the exact test only when that norm is within 1e-12 of 1
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ConstraintSet
-
 __all__ = [
+    "ConstraintSet",
     "project_l1",
     "project_l2",
     "project_l1_l2",
     "max_linear_l1_l2",
 ]
+
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Feasible set: the l1 ball of radius R ("l1"), or its intersection with the unit l2
+    ball ("l1l2")."""
+
+    kind: str
+    R: float
+
+    def __post_init__(self):
+        if self.kind not in ("l1", "l1l2"):
+            raise ValueError("kind must be 'l1' or 'l1l2'")
+        if not 1.0 <= self.R < np.inf:
+            raise ValueError(f"R must be >= 1 and finite, got {self.R}")
+
+    def contains(self, w) -> bool:
+        """Membership up to an absolute slack of 1e-8 on each norm."""
+        w = np.asarray(w, dtype=float)
+        ok = np.abs(w).sum() <= self.R + 1e-8
+        if self.kind == "l1l2":
+            ok = ok and np.linalg.norm(w) <= 1.0 + 1e-8
+        return bool(ok)
+
+    def project(self, v) -> np.ndarray:
+        """Nearest point of the set: project_l1 or project_l1_l2 at radius R."""
+        # the module global is read at each call, so a wrapper bound in its place sees it
+        return (project_l1 if self.kind == "l1" else project_l1_l2)(v, self.R)
 
 
 def _sorted_magnitudes(v, R: float):
@@ -133,27 +162,21 @@ def project_l2(v) -> np.ndarray:
     return v.copy() if n <= np.ldexp(1.0, -e) else unit * (1.0 / n)
 
 
-def _ratio_depth(mags, R: float) -> float:
-    """Depth tau below the top magnitude at which (tau - (top - mags))_+ has l1/l2 ratio R.
+def _sorted_depth(u, R: float) -> float:
+    """Depth tau below u_1 where (tau - (u_1 - u))_+ has l1/l2 ratio R, for u sorted descending.
 
-    That is the soft thresholding (mags - theta)_+ at the level theta = top - tau,
+    That is the soft thresholding (u - theta)_+ at the level theta = u_1 - tau,
     measured down from the top so that near-tied magnitudes keep their exact
     differences.  The ratio is nonincreasing in theta, so at the breakpoints
-    theta = u_{k+1} of the sorted magnitudes u it grows with the active count k;
-    the first k whose ratio reaches R holds the level.  The scan's l1 and squared
-    l2 norms at the breakpoints are sums of nonnegative terms in the gaps
-    delta_k = u_k - u_{k+1}, so they cannot cancel.  With the k largest entries
-    active the ratio condition is one second-degree equation in tau, whose root is
+    theta = u_{k+1} it grows with the active count k; the first k whose ratio
+    reaches R holds the level.  The scan's l1 and squared l2 norms at the
+    breakpoints are sums of nonnegative terms in the gaps delta_k = u_k - u_{k+1},
+    so they cannot cancel.  With the k largest entries active the ratio condition
+    is one second-degree equation in tau, whose root is
     mean + R sd / sqrt(k - R^2) over their depths.  Where they are all tied the
     ratio is sqrt(k) = R on the whole interval and its breakpoint is taken.
     Past the last breakpoint every entry stays active, so tau may exceed the top
     there.  Needs sqrt(#entries tied at the top) <= R < sqrt(#entries).
-    """
-    return _sorted_depth(np.sort(mags)[::-1], R)
-
-
-def _sorted_depth(u, R: float) -> float:
-    """_ratio_depth for magnitudes u already sorted descending.
 
     One scan in Python floats finds k, by the float operations of cumulative sums over all
     of u in their order; it converts u past the leading _HEAD entries only if it runs past

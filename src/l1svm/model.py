@@ -1,9 +1,10 @@
-"""Domain types and seeded instance generation.
+"""Domain types, seeded instance generation and CSV interchange.
 
 A classification instance is a unit-norm sparse vector a together with m
 scaled Gaussian samples x_i = r * xt_i, xt_i ~ N(0, Id), labelled by
 y_i = sign(<x_i, a>).  The quantity every solver works with is the averaged
-hinge loss f(w) = (1/m) sum_i [1 - y_i <x_i, w>]_+.
+hinge loss f(w) = (1/m) sum_i [1 - y_i <x_i, w>]_+.  The feasible sets it is
+minimized over are `geometry.ConstraintSet`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "as_generator",
     "SparseClassifier",
     "TrainingSet",
-    "ConstraintSet",
     "benchmark_classifier",
     "make_random_classifier",
     "generate_training_set",
@@ -126,28 +126,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Feasible set descriptor: the l1 ball, optionally intersected with the unit l2 ball."""
-
-    kind: str
-    R: float
-
-    def __post_init__(self):
-        if self.kind not in ("l1", "l1l2"):
-            raise ValueError("kind must be 'l1' or 'l1l2'")
-        if not 1.0 <= self.R < np.inf:
-            raise ValueError(f"R must be >= 1 and finite, got {self.R}")
-
-    def contains(self, w) -> bool:
-        """Membership up to an absolute slack of 1e-8 on each norm."""
-        w = np.asarray(w, dtype=float)
-        ok = np.abs(w).sum() <= self.R + 1e-8
-        if self.kind == "l1l2":
-            ok = ok and np.linalg.norm(w) <= 1.0 + 1e-8
-        return bool(ok)
 
 
 def benchmark_classifier(d: int) -> SparseClassifier:

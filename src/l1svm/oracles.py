@@ -1,7 +1,7 @@
 """Brute-force reference implementations.
 
-Nothing here is fast or scales past d = 3; these exist so the closed-form
-and iterative routines can be cross-checked against exhaustive search, both
+Nothing here is fast or scales past d = 3; these exist so the projections
+and the linear maximizer can be cross-checked against exhaustive search, both
 in the test suite and through the `check` command.
 """
 
@@ -12,11 +12,9 @@ import numpy as np
 __all__ = [
     "grid_project",
     "angle_max_linear",
-    "grid_min_hinge",
 ]
 
 _ANGLES = 628_319  # angle_max_linear's grid: a step of about 1e-5 radians
-_HINGE_STEP = 1e-3  # grid_min_hinge's spacing along each axis
 
 
 def _orthobasis(u: np.ndarray) -> list[np.ndarray]:
@@ -104,27 +102,3 @@ def angle_max_linear(g, R: float) -> np.ndarray:
     vals = W @ g
     vals[np.abs(W).sum(axis=1) > R] = -np.inf
     return W[int(np.argmax(vals))]
-
-
-def grid_min_hinge(X, y, R: float, kind: str = "l1") -> float:
-    """Minimum averaged hinge loss over a dense d = 2 grid of the feasible set."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.shape[1] != 2:
-        raise ValueError("hinge grid oracle is 2-D only")
-    box = R if kind == "l1" else min(R, 1.0)
-    axis = np.arange(-box, box + _HINGE_STEP / 2, _HINGE_STEP)
-    best = np.inf
-    yx = y[:, None] * X
-    for w0 in axis:  # one x-slice at a time keeps memory flat
-        w1 = axis[np.abs(axis) <= R - abs(w0) + 1e-12]
-        if kind == "l1l2":
-            w1 = w1[(w0 * w0 + w1 * w1) <= 1.0]
-        if w1.size == 0:
-            continue
-        margins = 1.0 - (yx[:, 0:1] * w0 + yx[:, 1:2] * w1[None, :])
-        vals = np.maximum(margins, 0.0).mean(axis=0)
-        low = float(vals.min())
-        if low < best:
-            best = low
-    return best

@@ -1,7 +1,9 @@
 """Constrained hinge-loss minimizers and recovery-error metrics.
 
-Both SVM variants run the same projected subgradient scheme and differ only
-in the projection; the sign-measurement baseline needs no iteration at all
+Each solver works over one `geometry.ConstraintSet`, built once per solve:
+the l1 ball, or its intersection with the unit l2 ball.  Both SVM variants
+run the same projected subgradient scheme and differ only in their set, whose
+`project` they call; the sign-measurement baseline needs no iteration at all
 because its objective is linear.
 """
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import max_linear_l1_l2, project_l1, project_l1_l2
-from .model import ConstraintSet, SparseClassifier, TrainingSet
+from .geometry import ConstraintSet, max_linear_l1_l2
+from .model import SparseClassifier, TrainingSet
 
 __all__ = [
     "SOLVERS",
@@ -76,15 +78,15 @@ def _update_gradient(g, X, XF, y, active, new, k):
     return g
 
 
-def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project) -> SolverResult:
-    """Projected subgradient descent with steps eta_k = R / sqrt(k); returns the best iterate.
+def _projected_subgradient(T: TrainingSet, C: ConstraintSet, max_iters: int) -> SolverResult:
+    """Projected subgradient descent onto C, steps eta_k = R / sqrt(k); returns the best iterate.
 
     Iterates stay sparse, so margins are computed from the iterate's support
     (O(m nnz)), and the unnormalized hinge gradient g = sum_{margin_i > 0} y_i x_i
     is updated from the rows whose margin changed sign (O(d flips)).
     """
     m, d = T.X.shape
-    X, y = T.X, T.y
+    X, y, R = T.X, T.y, C.R
     XF = np.asfortranarray(X)  # contiguous columns for the support gather; X keeps rows
     w = np.zeros(d)
     active = np.ones(m, dtype=bool)  # every margin is 1 at w = 0
@@ -112,32 +114,31 @@ def _projected_subgradient(T: TrainingSet, R: float, max_iters: int, project) ->
         active = new
         z = w + (R / math.sqrt(k)) * (g / m)  # the projection rejects a non-finite z
         try:
-            w = project(z, R)
+            w = C.project(z)
         except ValueError as exc:  # R was checked, so only z can be at fault
             raise FloatingPointError(f"subgradient step {_OVERFLOW}") from exc
     return SolverResult(w_hat=best_w, objective=best_f, iterations=k, converged=converged)
 
 
-def _linear_maximizer(T: TrainingSet, R: float, max_iters: int) -> SolverResult:
+def _linear_maximizer(T: TrainingSet, C: ConstraintSet, max_iters: int) -> SolverResult:
     """The sign baseline's closed form: w maximizes the linear objective <X^T y, w>."""
     g = T.X.T @ T.y
     if not g.any():
         raise ValueError("labeled sample sum is zero: maximizer undefined")
     if not np.isfinite(g).all():
         raise FloatingPointError(f"labeled sample sum {_SCALE_OVERFLOW}")
-    w = max_linear_l1_l2(g, R)
+    w = max_linear_l1_l2(g, C.R)
     return SolverResult(w, float(g @ w), iterations=0, converged=True, objective_kind="linear")
 
 
-def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, find, *args):
-    """Check the inputs, find w with `find(T, R, max_iters, *args)` and check the result."""
+def _solve(T: TrainingSet, C: ConstraintSet, cfg: SolverConfig | None, find):
+    """Check cfg, find w in C with `find(T, C, max_iters)` and check the result."""
     cfg = SolverConfig() if cfg is None else cfg
     if not isinstance(cfg, SolverConfig):
         raise TypeError("cfg must be a SolverConfig")
-    feasible = ConstraintSet(kind, R)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow and inf - inf are checked
-        res = find(T, R, cfg.max_iters, *args)
-    if not feasible.contains(res.w_hat):
+        res = find(T, C, cfg.max_iters)
+    if not C.contains(res.w_hat):
         raise RuntimeError("solver produced an infeasible point")
     if not math.isfinite(res.objective):  # <g, w> can overflow where g and w do not
         raise FloatingPointError(f"{res.objective_kind} objective {_SCALE_OVERFLOW}")
@@ -146,12 +147,12 @@ def _solve(T: TrainingSet, R: float, cfg: SolverConfig | None, kind: str, find, 
 
 def solve_l1_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R}."""
-    return _solve(T, R, cfg, "l1", _projected_subgradient, project_l1)
+    return _solve(T, ConstraintSet("l1", R), cfg, _projected_subgradient)
 
 
 def solve_l1_l2_svm(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
     """Minimize the averaged hinge loss over {||w||_1 <= R, ||w||_2 <= 1}."""
-    return _solve(T, R, cfg, "l1l2", _projected_subgradient, project_l1_l2)
+    return _solve(T, ConstraintSet("l1l2", R), cfg, _projected_subgradient)
 
 
 def solve_one_bit_cs(T: TrainingSet, R: float, cfg: SolverConfig | None = None) -> SolverResult:
@@ -160,7 +161,7 @@ def solve_one_bit_cs(T: TrainingSet, R: float, cfg: SolverConfig | None = None) 
     The result stores the linear objective <g, w>, not the hinge loss; the
     objective_kind flag says so.  The config is checked but sets nothing.
     """
-    return _solve(T, R, cfg, "l1l2", _linear_maximizer)
+    return _solve(T, ConstraintSet("l1l2", R), cfg, _linear_maximizer)
 
 
 SOLVERS = {"l1_svm": solve_l1_svm, "l1l2_svm": solve_l1_l2_svm, "one_bit_cs": solve_one_bit_cs}

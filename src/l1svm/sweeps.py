@@ -21,6 +21,7 @@ them in process.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import os
@@ -288,8 +289,23 @@ def _executor(workers: int):
             if _pool is not None and _pool[0] == key[0]:
                 _pool[2].shutdown()  # another size: its workers exit before new ones start
             # a forked child's copy of its parent's pool is left alone
+            if _pool is None:
+                atexit.register(_shutdown_at_exit)  # registering twice is harmless
             _pool = (*key, ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
         return _pool[2]
+
+
+def _shutdown_at_exit() -> None:
+    """Shut this process's pool down before finalization clears the modules its cleanup reads.
+
+    Else a module still holding `sweeps` keeps the executor alive until then, and its
+    collection prints an ignored AttributeError.
+    """
+    global _pool
+    with _pool_lock:
+        pool, _pool = _pool, None
+        if pool is not None and pool[0] == os.getpid():
+            pool[2].shutdown()
 
 
 def _drop(pool) -> None:

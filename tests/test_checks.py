@@ -113,3 +113,18 @@ class TestLemma7Threads:
         finally:
             tracemalloc.stop()
         assert peak < 24e6
+
+
+class TestLemma7Count:
+    """The check needs all but 3 of its tuples within 3 standard errors, and at least one."""
+
+    def test_two_tuples_that_all_miss_fail(self, monkeypatch):
+        monkeypatch.setattr(checks, "_monte_carlo", lambda o, n, rng, block, part: (100.0, 1e-3))
+        [res] = checks.lemma7_suite(n_tuples=2, n_samples=1000)
+        assert not res.passed
+        assert res.detail.startswith("0/2 tuples within 3 SE (need >= 1)")
+
+    @pytest.mark.parametrize("n_tuples", [0, -1])
+    def test_no_tuples_refused(self, n_tuples):
+        with pytest.raises(ValueError, match=rf"^need at least 1 tuple, got n_tuples = {n_tuples}$"):
+            checks.lemma7_suite(n_tuples=n_tuples, n_samples=1000)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l1svm import max_linear_l1_l2, project_l1, project_l1_l2, project_l2
-from l1svm.geometry import _HEAD, _ratio_depth
+from l1svm import ConstraintSet, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+from l1svm.geometry import _HEAD, _sorted_depth
 from l1svm.oracles import angle_max_linear, grid_project
 
 
@@ -285,25 +285,25 @@ class TestNearTies:
         for _ in range(50):
             mags = np.abs(rng.standard_normal(1000))
             R = float(rng.uniform(1.0, mags.sum() / np.linalg.norm(mags)))
-            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+            assert _sorted_depth(np.sort(mags)[::-1], R) == _full_scan_depth(mags, R)
 
     def test_depth_matches_full_scan_near_ties(self):
         rng = np.random.default_rng(1400)
         for _ in range(100):
             v, R = _near_tied_case(rng)
-            assert _ratio_depth(np.abs(v), R) == _full_scan_depth(np.abs(v), R)
+            assert _sorted_depth(np.sort(np.abs(v))[::-1], R) == _full_scan_depth(np.abs(v), R)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_depth_matches_full_scan_on_flat_magnitudes(self, seed):
         mags = 1.0 + 1e-3 * np.random.default_rng(1500 + seed).uniform(size=1000)
-        tau = _ratio_depth(mags, 20.0)
+        tau = _sorted_depth(np.sort(mags)[::-1], 20.0)
         assert tau == _full_scan_depth(mags, 20.0)
         # hundreds of entries active, far down the sorted breakpoints
         assert np.count_nonzero(tau - (mags.max() - mags) > 0.0) > 200
 
 
 def _full_scan_depth(mags, R):
-    """_ratio_depth with np.append and numpy's mean and std: a frozen reference for its bits."""
+    """_sorted_depth by np.append and numpy's mean and std: a frozen reference for its bits."""
     u = np.sort(mags)[::-1]
     d = u.size
     below = np.append(u[1:], 0.0)
@@ -418,6 +418,7 @@ class TestSharedTail:
                 R = float(rng.uniform(1.0, max(1.0, min(40.0, 1.5 * np.abs(v).sum()
                                                           / np.linalg.norm(v)))))
             v = v * 10.0 ** rng.uniform(-100.0, 100.0)
+            _assert_set_projects_bitwise(v, R)
             mags = np.abs(v)
             if np.linalg.norm(project_l1(v, R)) <= 1.0 + 1e-15:
                 continue  # the projection returns its l1 candidate
@@ -444,6 +445,7 @@ class TestSharedTail:
         assert len(calls) == norms
         monkeypatch.undo()
         assert p.tobytes() == max_linear_l1_l2(v, R).tobytes()
+        _assert_set_projects_bitwise(v, R)
 
     def test_near_tied_gaps_survive_the_scaling(self):
         # the top four magnitudes differ in their last few digits; dividing by the top
@@ -510,7 +512,7 @@ class TestExactKernel:
             u = np.abs(u)
             if not u.any():
                 continue
-            tau = _ratio_depth(u, R)
+            tau = _sorted_depth(np.sort(u)[::-1], R)
             q = np.maximum(tau - (u.max() - u), 0.0)
             assert abs(q.sum() - R * np.linalg.norm(q)) <= 1e-12 * q.sum()
 
@@ -518,7 +520,7 @@ class TestExactKernel:
         # four tied leaders at R = 2: k - R^2 = 0 on the interval the scan picks
         u = np.array([1.0, 1.0, 1.0, 1.0, 0.5])
         with np.errstate(all="raise"):
-            tau = _ratio_depth(u, 2.0)
+            tau = _sorted_depth(np.sort(u)[::-1], 2.0)
             w = max_linear_l1_l2(u, 2.0)
             res = project_l1_l2(2.0 * u, 2.0)
         assert 0.0 < tau <= 0.5  # the level 1 - tau is in [0.5, 1)
@@ -536,7 +538,8 @@ class TestExactKernel:
             assert abs(np.abs(res).sum() - 1.6) <= 1e-12 * 1.6
             assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
             assert np.linalg.norm(res - _dykstra(v, 1.6)) <= 1e-9
-            assert _ratio_depth(np.array([2.0, 2.0, 2.0]), np.sqrt(3.0)) == 2.0  # level 0
+            tied = np.array([2.0, 2.0, 2.0])
+            assert _sorted_depth(np.sort(tied)[::-1], np.sqrt(3.0)) == 2.0  # level 0
 
     def test_unit_radius(self):
         rng = np.random.default_rng(900)
@@ -554,7 +557,7 @@ class TestExactKernel:
         with np.errstate(all="raise"):
             assert_allclose(project_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
             assert_allclose(max_linear_l1_l2(v, 1.5), [0.0, 0.0, -1.0, 0.0], atol=1e-15)
-            tau = _ratio_depth(np.abs(v), 1.5)
+            tau = _sorted_depth(np.sort(np.abs(v))[::-1], 1.5)
         assert np.isfinite(tau)
         assert_allclose(np.sign(v) * np.maximum(tau - (5.0 - np.abs(v)), 0.0), [0, 0, -tau, 0])
 
@@ -565,7 +568,7 @@ class TestExactKernel:
         with np.errstate(all="raise"):
             assert_allclose(project_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
             assert_allclose(max_linear_l1_l2(v, R), np.full(d, 1.0 / np.sqrt(d)), rtol=1e-14)
-            assert _ratio_depth(v, R) == 2.0  # level 0
+            assert _sorted_depth(np.sort(v)[::-1], R) == 2.0  # level 0
 
 
 class TestProjectL2:
@@ -677,16 +680,25 @@ def _separate_max_linear(g, R):
 
 def _assert_frozen_bits(v, R):
     """Every routine on (v, R) keeps the bits of its frozen reference, signed zeros included."""
+    if R >= 1.0:
+        _assert_set_projects_bitwise(v, R)
     pairs = [(project_l1(v, R), _separate_project_l1(v, R)),
              (project_l1_l2(v, R), _separate_project_l1_l2(v, R))]
     mags = np.abs(v)
     if R >= 1.0 and mags.any():
         pairs.append((max_linear_l1_l2(v, R), _separate_max_linear(v, R)))
         if np.sqrt(np.count_nonzero(mags == mags.max())) <= R < np.sqrt(v.size):
-            assert _ratio_depth(mags, R) == _full_scan_depth(mags, R)
+            assert _sorted_depth(np.sort(mags)[::-1], R) == _full_scan_depth(mags, R)
     for got, want in pairs:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_set_projects_bitwise(v, R):
+    """ConstraintSet.project returns the bits of project_l1 and project_l1_l2, signed zeros too."""
+    for kind, project in (("l1", project_l1), ("l1l2", project_l1_l2)):
+        got = ConstraintSet(kind, R).project(v)
+        assert np.array_equal(got.view(np.int64), project(v, R).view(np.int64))
 
 
 def _level_between(u, k):
@@ -804,3 +816,20 @@ class TestCandidateNormMargin:
         w = project_l1_l2(v, R)
         assert np.array_equal(w, _separate_project_l1_l2(v, R))
         assert_allclose(w, v / np.linalg.norm(v), rtol=1e-15)
+
+
+def test_constraint_set_validation():
+    c = ConstraintSet("l1l2", 1.5)
+    assert c.contains(np.array([0.5, 0.5]))
+    assert not c.contains(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError):
+        ConstraintSet("l1", 0.5)
+    with pytest.raises(ValueError):
+        ConstraintSet("box", 1.5)
+
+
+@pytest.mark.parametrize("kind", ["l1", "l1l2"])
+@pytest.mark.parametrize("R", [np.nan, np.inf, 0.5])
+def test_constraint_set_radius_must_be_finite_and_at_least_one(kind, R):
+    with pytest.raises(ValueError, match=rf"^R must be >= 1 and finite, got {R}$"):
+        ConstraintSet(kind, R)

@@ -131,23 +131,6 @@ def test_hinge_objective_scale_equivalence():
             L.hinge_objective(3.5 * w, base), abs=1e-12)
 
 
-def test_constraint_set_validation():
-    c = L.ConstraintSet("l1l2", 1.5)
-    assert c.contains(np.array([0.5, 0.5]))
-    assert not c.contains(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        L.ConstraintSet("l1", 0.5)
-    with pytest.raises(ValueError):
-        L.ConstraintSet("box", 1.5)
-
-
-@pytest.mark.parametrize("kind", ["l1", "l1l2"])
-@pytest.mark.parametrize("R", [np.nan, np.inf, 0.5])
-def test_constraint_set_radius_must_be_finite_and_at_least_one(kind, R):
-    with pytest.raises(ValueError, match=rf"^R must be >= 1 and finite, got {R}$"):
-        L.ConstraintSet(kind, R)
-
-
 def test_training_set_rejects_no_rows():
     with pytest.raises(ValueError, match="^training set has no rows$"):
         L.TrainingSet(np.zeros((0, 3)), np.zeros(0))

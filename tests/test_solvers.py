@@ -5,9 +5,35 @@ import pytest
 from numpy.testing import assert_allclose
 
 import l1svm as L
-from l1svm import solvers
+from l1svm import geometry, solvers
 from l1svm.geometry import project_l1, project_l1_l2
-from l1svm.oracles import angle_max_linear, grid_min_hinge
+from l1svm.oracles import angle_max_linear
+
+_HINGE_STEP = 1e-3  # _grid_min_hinge's spacing along each axis
+
+
+def _grid_min_hinge(X, y, R: float, kind: str = "l1") -> float:
+    """Minimum averaged hinge loss over a dense d = 2 grid of the feasible set."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.shape[1] != 2:
+        raise ValueError("hinge grid oracle is 2-D only")
+    box = R if kind == "l1" else min(R, 1.0)
+    axis = np.arange(-box, box + _HINGE_STEP / 2, _HINGE_STEP)
+    best = np.inf
+    yx = y[:, None] * X
+    for w0 in axis:  # one x-slice at a time keeps memory flat
+        w1 = axis[np.abs(axis) <= R - abs(w0) + 1e-12]
+        if kind == "l1l2":
+            w1 = w1[(w0 * w0 + w1 * w1) <= 1.0]
+        if w1.size == 0:
+            continue
+        margins = 1.0 - (yx[:, 0:1] * w0 + yx[:, 1:2] * w1[None, :])
+        vals = np.maximum(margins, 0.0).mean(axis=0)
+        low = float(vals.min())
+        if low < best:
+            best = low
+    return best
 
 
 def _instance(d, s, m, r, seed):
@@ -52,12 +78,13 @@ def test_l1l2_agrees_when_l1_solution_is_small():
 
 
 def _record_iterates(monkeypatch, name):
-    """Wrap solvers.<name> so that every iterate a solve visits is kept, w = 0 first.
+    """Wrap geometry.<name>, which ConstraintSet.project calls, so that every iterate a solve
+    visits is kept, w = 0 first.
 
     The projection's output is the next iterate; the one made on the last,
     capped iteration is never visited, so `visited` drops it.
     """
-    inner = getattr(solvers, name)
+    inner = getattr(geometry, name)
     out = []
 
     def recording(z, R):
@@ -65,7 +92,7 @@ def _record_iterates(monkeypatch, name):
         out.append(w)
         return w
 
-    monkeypatch.setattr(solvers, name, recording)
+    monkeypatch.setattr(geometry, name, recording)
 
     def visited(res):
         assert len(out) == res.iterations - res.converged
@@ -137,10 +164,10 @@ def test_tiny_instances_match_grid_search(trial, monkeypatch):
     R = float(rng.uniform(1.0, 2.0))
     cfg = L.SolverConfig(max_iters=15000)
     got = L.solve_l1_svm(T, R, cfg).objective
-    ref = grid_min_hinge(X, y, R, kind="l1")
+    ref = _grid_min_hinge(X, y, R, kind="l1")
     assert abs(got - ref) < 2e-3
     got = L.solve_l1_l2_svm(T, R, cfg).objective
-    ref = grid_min_hinge(X, y, R, kind="l1l2")
+    ref = _grid_min_hinge(X, y, R, kind="l1l2")
     assert abs(got - ref) < 2e-3
 
 

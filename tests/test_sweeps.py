@@ -550,3 +550,16 @@ class TestWorkerPool:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+    def test_pool_held_past_module_cleanup_exits_quietly(self):
+        # sys holds sweeps past the point where finalization clears concurrent.futures'
+        # globals; a pool collected only then prints an ignored AttributeError
+        code = ("import sys\n"
+                "from l1svm import sweeps\n"
+                "sys.held_module = sweeps\n"
+                "sweeps._workers = lambda: 2\n"
+                "print(sweeps._map(abs, [(-1,), (-2,)]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "[1, 2]\n", "")
