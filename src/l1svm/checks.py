@@ -5,18 +5,16 @@ returns one CheckResult per comparison family: the expected hinge losses
 against Monte Carlo, the projections and the linear maximizer against an
 exhaustive grid, and the bound formulas against hand-derived identities.
 
-The lemma7 Monte Carlo estimates run on threads of the calling process, one
-per CPU.  The projections grid-oracle calls run on `sweeps._map`'s pool, one
-spawned worker per CPU.  The pool starts on the first pooled call of the
-process, serves every later sweep and check, and exits with the interpreter;
-a script calling `projections_suite` or `run_suite` needs the
-`if __name__ == "__main__":` guard.
+The lemma7 Monte Carlo estimates and the projections grid-oracle calls run on
+threads of the calling process, one per CPU, through `_thread_map`: no suite
+starts a child process, so a script may call any of them unguarded.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ import numpy as np
 from .geometry import ConstraintSet, max_linear_l1_l2, project_l1_l2
 from .model import RngSeed, as_generator
 from .oracles import angle_max_linear, grid_project
-from .sweeps import _map, _workers
+from .sweeps import _workers
 from .theory import (OverlapCoords, _mc_buffers, _monte_carlo, _sample_count, expected_fa_a,
                      expected_fa_w, gaussian_max_norm_bounds, hinge_gaussian_integral,
                      proof_constant_057, thm1_bound, thm2_lower_bound, thm3_sample_size,
@@ -65,37 +63,43 @@ def sample_overlap_tuples(n: int, seed: RngSeed = _SEED) -> list[OverlapCoords]:
     return out
 
 
+def _thread_map(fn, items) -> list:
+    """[fn(item) for item in items] in order, on one thread per CPU of the process.
+
+    On one CPU they run in the caller's thread.  The suites spend their time in numpy calls
+    that release the GIL.  An exception reaches the caller unchanged.
+    """
+    threads = min(_workers(), len(items))
+    if threads < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
+
+
 def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckResult]:
     """Closed-form expectation vs Monte Carlo, 3-standard-error agreement.
 
-    It passes when all but 3 of the n_tuples estimates agree, and at least one does.  The
-    estimates run on one thread per CPU of the process, or in the caller's thread
-    on one CPU; the numpy fills and loops they spend their time in release the GIL.
+    It passes when all but 3 of the n_tuples estimates agree, and at least one does.
     """
     if n_tuples < 1:
         raise ValueError(f"need at least 1 tuple, got n_tuples = {n_tuples}")
     tuples = sample_overlap_tuples(n_tuples)
     n = _sample_count(n_samples)
-    threads = min(_workers(), n_tuples)
-    estimates = [None] * n_tuples
+    local = threading.local()  # one set of sample buffers per thread, made on its first estimate
 
-    def estimate(k: int) -> None:
-        # every threads-th tuple from the k-th, on buffers allocated once per thread; each
-        # estimate draws from its own stream, so the threads change no bit of it
-        buffers = _mc_buffers(n)
-        for i in range(k, n_tuples, threads):
-            estimates[i] = _monte_carlo(tuples[i], n, as_generator(RngSeed(_SEED.base, i + 1)),
-                                        *buffers)
+    def estimate(i: int) -> tuple[float, float]:
+        # each estimate draws from its own stream, so the threads change no bit of it
+        if not hasattr(local, "buffers"):
+            local.buffers = _mc_buffers(n)
+        return _monte_carlo(tuples[i], n, as_generator(RngSeed(_SEED.base, i + 1)),
+                            *local.buffers)
 
-    if threads == 1:
-        estimate(0)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(estimate, range(threads)))  # re-raises a thread's exception
-    # expected_fa_w loads scipy.special (about 19 MB): after the estimates, its load does not
-    # add to their blocks at the peak RSS
+    estimates = _thread_map(estimate, range(n_tuples))
+    # the buffers freed, the caller's thread's too: expected_fa_w loads scipy.special (about
+    # 19 MB), which then does not add to them at the peak RSS
+    del local
     hits = 0
     worst = 0.0
     for o, (mean, se) in zip(tuples, estimates):
@@ -113,6 +117,8 @@ def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckRe
 
 def thm2_suite(n_tuples: int = 50) -> list[CheckResult]:
     """The loss-gap lower bound never exceeds the actual expected gap."""
+    if n_tuples < 1:
+        raise ValueError(f"need at least 1 tuple, got n_tuples = {n_tuples}")
     tuples = sample_overlap_tuples(n_tuples)
     good = 0
     worst = -np.inf
@@ -130,6 +136,8 @@ def thm2_suite(n_tuples: int = 50) -> list[CheckResult]:
 
 
 def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
+    if n_inputs < 1:
+        raise ValueError(f"need at least 1 input, got n_inputs = {n_inputs}")
     rng = as_generator(_SEED)
     results = []
 
@@ -138,7 +146,7 @@ def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
     # oracle reads rng, so the draws after this block see the same state
     inputs = [(rng.standard_normal(2 + i % 2) * 2.0, float(rng.uniform(1.0, 2.0)), kind)
               for kind in kinds for i in range(n_inputs)]
-    refs = zip(inputs, _map(grid_project, inputs))
+    refs = zip(inputs, _thread_map(lambda task: grid_project(*task), inputs))
     for kind in kinds:
         worst_pt = 0.0
         worst_d2 = 0.0

@@ -116,6 +116,8 @@ def _parse_grid(text: str, kind: str):
         vals = []
         v = a
         while v <= b + step * 0.5:
+            if vals and round(v, 10) <= vals[-1]:
+                raise ValueError(f"grid step {step:g} does not advance the grid past {vals[-1]}")
             vals.append(round(v, 10))
             v += step
     else:

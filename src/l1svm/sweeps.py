@@ -14,9 +14,9 @@ norm once and one named record per method solved on the set; a row averages
 its method's records field by field.  Tasks are independent, so `run_sweep`
 solves them, last grid point first, on one spawned worker process per CPU the
 caller may run on, each with one BLAS thread.  The workers start with the
-first sweep, serve every later sweep and the projections check of the
-process, and exit with the interpreter.  A caller restricted to one CPU runs
-them in process.
+first sweep, serve every later sweep of the process, and exit with the
+interpreter.  A caller restricted to one CPU runs them in process.  No other
+module starts a process.
 """
 
 from __future__ import annotations
@@ -271,62 +271,51 @@ def _call(filters: list, fn, *args):
     return fn(*args)
 
 
-# this process's pool, as (pid, workers, executor); started by the first pooled `_map`
+# this process's pool, as (pid, executor); started by the first pooled `_map`
 _pool = None
 _pool_lock = threading.Lock()
 
 
 def _executor(workers: int):
-    """The process's pool of `workers` spawned workers: the cached one, or a new one."""
+    """The process's pool: the cached one, or a new one of `workers` spawned workers."""
     global _pool
     # imported here: they cost about 20 ms, which callers that never sweep need not pay
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    key = (os.getpid(), workers)
     with _pool_lock:
-        if _pool is None or _pool[:2] != key:
-            if _pool is not None and _pool[0] == key[0]:
-                _pool[2].shutdown()  # another size: its workers exit before new ones start
-            # a forked child's copy of its parent's pool is left alone
+        if _pool is None or _pool[0] != os.getpid():  # a forked child leaves its parent's alone
             if _pool is None:
-                atexit.register(_shutdown_at_exit)  # registering twice is harmless
-            _pool = (*key, ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
-        return _pool[2]
+                atexit.register(_shutdown)  # registering twice is harmless
+            _pool = (os.getpid(), ProcessPoolExecutor(workers, mp_context=get_context("spawn")))
+        return _pool[1]
 
 
-def _shutdown_at_exit() -> None:
-    """Shut this process's pool down before finalization clears the modules its cleanup reads.
+def _shutdown(pool=None) -> None:
+    """Shut `pool` down, or at exit this process's pool, and forget it if it is the cached one.
 
-    Else a module still holding `sweeps` keeps the executor alive until then, and its
-    collection prints an ignored AttributeError.
+    `_map` passes a broken pool, so that the next call starts afresh once its workers are
+    reaped.  The exit hook passes none: it runs before finalization clears the modules the
+    pool's cleanup reads, else a module still holding `sweeps` keeps the executor alive until
+    then, and its collection prints an ignored AttributeError.
     """
     global _pool
     with _pool_lock:
-        pool, _pool = _pool, None
-        if pool is not None and pool[0] == os.getpid():
-            pool[2].shutdown()
-
-
-def _drop(pool) -> None:
-    """Forget a broken pool, so that the next call starts afresh, once its workers are reaped."""
-    global _pool
-    with _pool_lock:
-        if _pool is not None and _pool[2] is pool:
-            _pool = None
-    pool.shutdown()
+        if _pool is not None and _pool[0] == os.getpid() and pool in (None, _pool[1]):
+            pool, _pool = _pool[1], None
+    if pool is not None:
+        pool.shutdown()
 
 
 def _map(fn, tasks: list) -> list:
     """[fn(*task) for task in tasks], in order; on one worker per CPU when there are several.
 
-    It serves the sweep trials and the `projections` check.
-    Workers are spawned, not forked, and each runs one BLAS thread: two
-    processes that each start BLAS's default thread count oversubscribe the
-    CPUs and are no faster than one.  They start on the first pooled call,
-    serve every later one, and exit with the interpreter, which joins them;
-    the pool is started afresh only in a forked child, when the CPU count
-    changes, or after a worker died (the call that saw it raises
+    It serves the sweep trials.  Workers are spawned, not forked, and each
+    runs one BLAS thread: two processes that each start BLAS's default thread
+    count oversubscribe the CPUs and are no faster than one.  The process has
+    one pool, sized by its first pooled call; it serves every later call and
+    exits with the interpreter, which joins it.  It is started afresh only in
+    a forked child, or after a worker died (the call that saw it raises
     `BrokenProcessPool`).  Each task runs under the warning filters the
     caller has at this call.  A task's exception reaches the caller with its
     own type, once the call's tasks that have not started are cancelled.
@@ -345,7 +334,7 @@ def _map(fn, tasks: list) -> list:
                 futures.append(pool.submit(_call, filters, fn, *task))
         return [future.result() for future in futures]
     except BrokenProcessPool:
-        _drop(pool)
+        _shutdown(pool)
         raise
     finally:
         for future in futures:

@@ -9,11 +9,12 @@ from l1svm import sweeps
 def pool_workers():
     """A check that this process's live children are exactly `sweeps._map`'s pool workers.
 
-    It returns their pids; there are at most `_workers()` of them.
+    It returns their pids; there are at most as many as the pool's size.
     """
     def check() -> list:
         children = sorted(p.pid for p in multiprocessing.active_children())
-        assert children == sorted(sweeps._pool[2]._processes)
-        assert 1 <= len(children) <= sweeps._workers()
+        pool = sweeps._pool[1]
+        assert children == sorted(pool._processes)
+        assert 1 <= len(children) <= pool._max_workers
         return children
     return check

@@ -1,7 +1,9 @@
 import multiprocessing
 import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,42 +11,52 @@ from l1svm import checks, sweeps, theory
 from l1svm.model import RngSeed
 
 
-class TestCheckPool:
-    """The projections grid-oracle calls run on `sweeps._map`; `_workers` picks the path."""
+@pytest.fixture
+def workers(monkeypatch):
+    return lambda n: monkeypatch.setattr(checks, "_workers", lambda: n)
 
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        return lambda n: monkeypatch.setattr(sweeps, "_workers", lambda: n)
 
-    @pytest.mark.parametrize("suite", ["projections"])
-    def test_results_identical_in_process_and_pooled(self, suite, workers, pool_workers):
-        environ = dict(os.environ)
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail any use of the process pool, and check that no child process appears."""
+    def refuse(n):
+        raise AssertionError("a check started the process pool")
+    monkeypatch.setattr(sweeps, "_executor", refuse)
+    before = sorted(p.pid for p in multiprocessing.active_children())
+    yield
+    assert sorted(p.pid for p in multiprocessing.active_children()) == before
+
+
+class TestProjectionsThreads:
+    """The projections grid-oracle calls run on threads of the calling process, one per CPU."""
+
+    def test_results_identical_on_one_and_two_threads(self, workers, no_pool):
         workers(1)
-        one = checks.SUITES[suite](n_inputs=4)
+        one = checks.projections_suite(n_inputs=4)
         workers(2)
-        two = checks.SUITES[suite](n_inputs=4)
+        two = checks.projections_suite(n_inputs=4)
         assert two == one
         assert all(res.passed for res in two)
-        pool_workers()
-        assert dict(os.environ) == environ  # the one-thread BLAS settings are undone
+
+    def test_unguarded_script_runs_in_one_process(self, tmp_path):
+        # a spawned pool would import this script again in each worker, without a guard
+        script = tmp_path / "unguarded.py"
+        script.write_text("import multiprocessing, resource\n"
+                          "from l1svm import checks, sweeps\n"
+                          "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                          "checks._workers = sweeps._workers = lambda: 2\n"
+                          "results = checks.run_suite('projections')\n"
+                          "print(all(res.passed for res in results), "
+                          "multiprocessing.active_children(), "
+                          "resource.getrusage(resource.RUSAGE_CHILDREN) == children)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "True [] True\n", "")
 
 
 class TestLemma7Threads:
     """The Monte Carlo estimates run on threads of the calling process, one per CPU."""
-
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        return lambda n: monkeypatch.setattr(checks, "_workers", lambda: n)
-
-    @pytest.fixture
-    def no_pool(self, monkeypatch):
-        """Fail any use of the process pool, and check that no child process appears."""
-        def refuse(n):
-            raise AssertionError("lemma7 started the process pool")
-        monkeypatch.setattr(sweeps, "_executor", refuse)
-        before = sorted(p.pid for p in multiprocessing.active_children())
-        yield
-        assert sorted(p.pid for p in multiprocessing.active_children()) == before
 
     def test_results_identical_on_one_and_two_threads(self, workers, no_pool):
         workers(1)
@@ -55,7 +67,7 @@ class TestLemma7Threads:
         assert all(res.passed for res in two)
 
     def test_more_threads_than_cpus_lose_no_estimate(self, workers, no_pool):
-        # five threads on a short switch interval write to one shared list
+        # five threads, more than the CPUs, on a short switch interval
         workers(1)
         one = checks.lemma7_suite(n_tuples=12, n_samples=1000)
         workers(5)
@@ -114,6 +126,24 @@ class TestLemma7Threads:
             tracemalloc.stop()
         assert peak < 24e6
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_buffers_freed_before_the_closed_forms(self, workers, monkeypatch, threads):
+        # expected_fa_w loads scipy.special: the 8 MB sample blocks must be gone by then
+        held = []
+        closed_form = checks.expected_fa_w
+
+        def spy(o):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return closed_form(o)
+        monkeypatch.setattr(checks, "expected_fa_w", spy)
+        workers(threads)
+        tracemalloc.start()
+        try:
+            checks.lemma7_suite(n_tuples=2, n_samples=1_000_000)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2 and max(held) < 4e6
+
 
 class TestLemma7Count:
     """The check needs all but 3 of its tuples within 3 standard errors, and at least one."""
@@ -128,3 +158,17 @@ class TestLemma7Count:
     def test_no_tuples_refused(self, n_tuples):
         with pytest.raises(ValueError, match=rf"^need at least 1 tuple, got n_tuples = {n_tuples}$"):
             checks.lemma7_suite(n_tuples=n_tuples, n_samples=1000)
+
+
+class TestSuiteCounts:
+    """Every counted suite refuses a count below 1, which would check nothing."""
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_inputs_refused(self, n):
+        with pytest.raises(ValueError, match=rf"^need at least 1 input, got n_inputs = {n}$"):
+            checks.projections_suite(n_inputs=n)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_thm2_tuples_refused(self, n):
+        with pytest.raises(ValueError, match=rf"^need at least 1 tuple, got n_tuples = {n}$"):
+            checks.thm2_suite(n_tuples=n)

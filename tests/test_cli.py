@@ -1,6 +1,7 @@
 import functools
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -432,6 +433,23 @@ class TestParseGrid:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             cli._parse_grid("1:2:0", "r")
+
+    @pytest.mark.parametrize("kind", ["r", "m"])
+    def test_step_that_does_not_advance_exits_2(self, capsys, tmp_path, kind):
+        # the step vanishes next to 1.0, so an unchecked range appends 1.0 until memory runs out
+        def stuck(signum, frame):
+            raise AssertionError("the grid range did not return")
+        previous = signal.signal(signal.SIGALRM, stuck)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, text, err = run(["sweep", "--kind", kind, "--grid", "1:2:1e-17",
+                                   "--out", str(tmp_path / "rows.csv")], capsys)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, text, err) == (
+            2, "", "error: grid step 1e-17 does not advance the grid past 1.0\n")
+        assert not (tmp_path / "rows.csv").exists()
 
     @pytest.mark.parametrize("text", ["inf", "1,nan", "1:inf:1", "1:2:inf", "-inf:2:1"])
     def test_non_finite_rejected_before_expansion(self, text):

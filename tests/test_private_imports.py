@@ -1,4 +1,5 @@
-"""No l1svm module imports another's private names, apart from a list that may only shrink."""
+"""No l1svm module imports another's private names, apart from a list that may only shrink,
+and only `sweeps` starts processes."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,6 @@ SRC = Path(__file__).parents[1] / "src" / "l1svm"
 
 # (importing module, private name); remove an entry once its import goes, and add none
 ALLOWED = {
-    ("checks", "_map"),
     ("checks", "_workers"),
     ("checks", "_mc_buffers"),
     ("checks", "_monte_carlo"),
@@ -35,3 +35,26 @@ def test_no_private_name_crosses_modules():
 
 def test_allow_list_has_no_stale_entry():
     assert ALLOWED - _private_imports() == set()
+
+
+def _process_imports():
+    """The modules that import multiprocessing or a process pool, at any depth."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if any(alias.name == "ProcessPoolExecutor" for alias in node.names):
+                    found.add(path.stem)
+            else:
+                continue
+            if any(name.split(".")[0] == "multiprocessing" or name == "concurrent.futures.process"
+                   for name in modules):
+                found.add(path.stem)
+    return found
+
+
+def test_only_sweeps_starts_processes():
+    assert _process_imports() == {"sweeps"}
