@@ -7,6 +7,8 @@ in the test suite and through the `check` command.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = [
@@ -15,6 +17,9 @@ __all__ = [
 ]
 
 _ANGLES = 628_319  # angle_max_linear's grid: a step of about 1e-5 radians
+_CHUNK = 65_536  # rows per block of the boundary search, which bounds its temporaries
+_DIRECTIONS: dict[int, np.ndarray] = {}  # grid_project's coarse directions, keyed by d
+_LOCK = threading.Lock()  # the check suites call grid_project from several threads
 
 
 def _orthobasis(u: np.ndarray) -> list[np.ndarray]:
@@ -28,14 +33,40 @@ def _orthobasis(u: np.ndarray) -> list[np.ndarray]:
     return [b1, np.cross(u, b1)]
 
 
+def _directions(d: int) -> np.ndarray:
+    """The coarse grid of ray directions for d = 2 or 3, built once per process (read-only)."""
+    with _LOCK:
+        if d not in _DIRECTIONS:
+            if d == 2:
+                th = np.arange(0.0, 2.0 * np.pi, 1e-3)
+                U = np.stack([np.cos(th), np.sin(th)], axis=1)
+            else:
+                n = 700_000  # Fibonacci sphere lattice, ~4e-3 rad spacing
+                i = np.arange(n, dtype=float)
+                z = 1.0 - (2.0 * i + 1.0) / n
+                ang = i * (np.pi * (3.0 - np.sqrt(5.0)))
+                rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+                U = np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=1)
+            U.flags.writeable = False
+            _DIRECTIONS[d] = U
+        return _DIRECTIONS[d]
+
+
 def _nearest_boundary(U: np.ndarray, v: np.ndarray, R: float, kind: str):
-    # boundary point along each ray u: u * min(R/||u||_1, 1/||u||_2)
-    t = R / np.abs(U).sum(axis=1)
-    if kind == "l1l2":
-        t = np.minimum(t, 1.0 / np.sqrt((U * U).sum(axis=1)))
-    B = U * t[:, None]
-    i = int(np.argmin(((B - v) ** 2).sum(axis=1)))
-    return B[i], U[i]
+    # boundary point along each ray u: u * min(R/||u||_1, 1/||u||_2), searched
+    # in blocks of _CHUNK rows; the first minimum wins, as in one argmin
+    best_dist = np.inf
+    for lo in range(0, len(U), _CHUNK):
+        Uc = U[lo:lo + _CHUNK]
+        t = R / np.abs(Uc).sum(axis=1)
+        if kind == "l1l2":
+            t = np.minimum(t, 1.0 / np.sqrt((Uc * Uc).sum(axis=1)))
+        B = Uc * t[:, None]
+        dist = ((B - v) ** 2).sum(axis=1)
+        i = int(np.argmin(dist))
+        if dist[i] < best_dist:
+            best_dist, best, u = dist[i], B[i].copy(), Uc[i]
+    return best, u
 
 
 def grid_project(v, R: float, kind: str = "l1") -> np.ndarray:
@@ -58,23 +89,17 @@ def grid_project(v, R: float, kind: str = "l1") -> np.ndarray:
         raise ValueError("kind must be 'l1' or 'l1l2'")
     if not R > 0:
         raise ValueError("radius must be positive")
+    if not np.isfinite(v).all():
+        raise ValueError("grid oracle needs a finite point")
     if np.abs(v).sum() <= R and (kind == "l1" or float(v @ v) <= 1.0):
         return v.copy()
     if d == 2:
-        th = np.arange(0.0, 2.0 * np.pi, 1e-3)
-        U = np.stack([np.cos(th), np.sin(th)], axis=1)
         spacing = 1e-3
         levels = (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
     else:
-        n = 700_000  # Fibonacci sphere lattice, ~4e-3 rad spacing
-        i = np.arange(n, dtype=float)
-        z = 1.0 - (2.0 * i + 1.0) / n
-        ang = i * (np.pi * (3.0 - np.sqrt(5.0)))
-        rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        U = np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=1)
         spacing = 8e-3
         levels = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9)
-    best, u0 = _nearest_boundary(U, v, R, kind)
+    best, u0 = _nearest_boundary(_directions(d), v, R, kind)
     for step in levels:
         basis = _orthobasis(u0 / np.linalg.norm(u0))
         offs = np.arange(-25.0 * spacing, 25.0 * spacing + step / 2, step)

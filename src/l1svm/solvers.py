@@ -5,6 +5,12 @@ the l1 ball, or its intersection with the unit l2 ball.  Both SVM variants
 run the same projected subgradient scheme and differ only in their set, whose
 `project` they call; the sign-measurement baseline needs no iteration at all
 because its objective is linear.
+
+The subgradient loop keeps the hinge gradient as a sum over the active rows
+(margin > 0) and updates it by the rows whose sign changed.  At large data
+scale r the step overshoots and the active set swings back and forth with
+period two: each set is far from the last one but near the one two steps
+back, so the loop keeps both sums and updates from the nearer set.
 """
 
 from __future__ import annotations
@@ -64,18 +70,32 @@ _OVERFLOW = "overflowed: the data's scale times the l1 radius R exceeds floating
 _SCALE_OVERFLOW = "overflowed: the data's scale exceeds floating point range"
 
 
-def _update_gradient(g, X, XF, y, active, new, k):
-    """Return sum_{new_i} y_i x_i, given g = sum_{active_i} y_i x_i (updated in place).
+def _update_gradient(pairs, X, XF, y, new, k):
+    """Return ((sum_{new_i} y_i x_i, new), newer pair), given the last two pairs.
 
-    The rows whose sign changed are added or removed, in O(d flips); on every
-    _REFRESH-th iteration the sum is recomputed in full.
+    `pairs` is ((g, active), (g_old, active_old)), newest first, each g the
+    sum over its own active set.  The new sum is updated from whichever set
+    is nearer to `new`, by the rows whose sign differs from it (O(d flips)); a
+    tie goes to the newer pair.  At large r, where the set swings with period
+    two, the older set is the nearer one.  The result is written over g_old's buffer,
+    so the two pairs never share one.  On every _REFRESH-th iteration the sum
+    is recomputed in full and both pairs restart from it, so that neither
+    chain of every-other-iteration updates carries its rounding past it.
     """
+    (g1, a1), (g0, a0) = pairs
     if k % _REFRESH == 0:
-        return XF.T @ (y * new)
-    ch = (new != active).nonzero()[0]
+        g = XF.T @ (y * new)
+        np.copyto(g0, g)
+        return (g, new), (g0, new)
+    ch, base = (new != a1).nonzero()[0], g1
     if ch.size:
-        g += X[ch].T @ np.where(new[ch], y[ch], -y[ch])
-    return g
+        ch0 = (new != a0).nonzero()[0]
+        if ch0.size < ch.size:
+            ch, base = ch0, g0
+        np.add(base, X[ch].T @ np.where(new[ch], y[ch], -y[ch]), out=g0)
+    else:
+        np.copyto(g0, g1)
+    return (g0, new), (g1, a1)
 
 
 def _projected_subgradient(T: TrainingSet, C: ConstraintSet, max_iters: int) -> SolverResult:
@@ -83,7 +103,11 @@ def _projected_subgradient(T: TrainingSet, C: ConstraintSet, max_iters: int) -> 
 
     Iterates stay sparse, so margins are computed from the iterate's support
     (O(m nnz)), and the unnormalized hinge gradient g = sum_{margin_i > 0} y_i x_i
-    is updated from the rows whose margin changed sign (O(d flips)).
+    is updated from the rows whose margin changed sign (O(d flips)).  At large
+    r the step overshoots and the active set swings back and forth with period
+    two: it differs from the last iteration's in many rows but from the one
+    two steps back in few.  So the last two (g, active) pairs are kept, and g
+    is updated from the nearer one.
     """
     m, d = T.X.shape
     X, y, R = T.X, T.y, C.R
@@ -95,6 +119,7 @@ def _projected_subgradient(T: TrainingSet, C: ConstraintSet, max_iters: int) -> 
     best_hist = []
     converged = False
     g = XF.T @ y
+    pairs = (g, active), (g.copy(), active)
     for k in range(1, max_iters + 1):
         S = w.nonzero()[0]
         margins = 1.0 - y * (XF[:, S] @ w[S])
@@ -109,9 +134,8 @@ def _projected_subgradient(T: TrainingSet, C: ConstraintSet, max_iters: int) -> 
             converged = True
             break
         # rows sitting exactly on the hinge kink contribute zero
-        new = margins > 0.0
-        g = _update_gradient(g, X, XF, y, active, new, k)
-        active = new
+        pairs = _update_gradient(pairs, X, XF, y, margins > 0.0, k)
+        g = pairs[0][0]
         z = w + (R / math.sqrt(k)) * (g / m)  # the projection rejects a non-finite z
         try:
             w = C.project(z)

@@ -1,11 +1,13 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l1svm import ConstraintSet, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
+from l1svm import ConstraintSet, max_linear_l1_l2, oracles, project_l1, project_l1_l2, project_l2
 from l1svm.geometry import _HEAD, _sorted_depth
 from l1svm.oracles import angle_max_linear, grid_project
 
@@ -88,6 +90,52 @@ class TestProjectL1:
             w2 = project_l1(v2, 1.7)
             assert_allclose(project_l1(w1, 1.7), w1, atol=1e-10)
             assert np.linalg.norm(w1 - w2) <= np.linalg.norm(v1 - v2) + 1e-10
+
+
+def _one_argmin(U, v, R, kind):
+    """grid_project's boundary search over all rows at once: the reference for its blocks."""
+    t = R / np.abs(U).sum(axis=1)
+    if kind == "l1l2":
+        t = np.minimum(t, 1.0 / np.sqrt((U * U).sum(axis=1)))
+    B = U * t[:, None]
+    i = int(np.argmin(((B - v) ** 2).sum(axis=1)))
+    return B[i], U[i]
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("kind", ["l1", "l1l2"])
+    def test_block_search_matches_one_argmin_on_the_lattice(self, kind):
+        v = np.random.default_rng(8).standard_normal(3) * 2.0
+        U = oracles._directions(3)
+        assert len(U) > oracles._CHUNK
+        got, want = oracles._nearest_boundary(U, v, 1.5, kind), _one_argmin(U, v, 1.5, kind)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("first", [0.3, -0.3])
+    def test_first_minimum_wins_across_blocks(self, first, monkeypatch):
+        """Mirror-image rays about v tie exactly; the earlier one is kept, as by one argmin."""
+        monkeypatch.setattr(oracles, "_CHUNK", 2)
+        U = np.array([[0.0, 1.0], [1.0, first], [0.0, -1.0], [1.0, -first]])
+        v = np.array([2.0, 0.0])
+        best, u = oracles._nearest_boundary(U, v, 1.0, "l1")
+        assert u.tolist() == [1.0, first]
+        assert np.array_equal(best, _one_argmin(U, v, 1.0, "l1")[0])
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="^grid oracle needs a finite point$"):
+            grid_project(np.array([np.nan, 1.0, 1.0]), 1.5)
+
+    def test_directions_built_once_across_threads(self, monkeypatch):
+        monkeypatch.setattr(oracles, "_DIRECTIONS", {})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as ex:
+                got = list(ex.map(oracles._directions, [3] * 8, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(U is got[0] for U in got)
+        assert got[0].shape == (700_000, 3) and not got[0].flags.writeable
 
 
 class TestProjectL1L2:

@@ -300,11 +300,14 @@ def test_matches_dense_reference_averaged_and_capped(kind, monkeypatch):
     assert _assert_matches_dense(kind, T, a.l1_norm, capped, monkeypatch) == 80
 
 
-def _row_update_drift(flips):
+def _row_update_drift(flips, swing=0):
     """Run 5000 row updates of g, `flips` random rows changing sign per step.
 
-    Returns the worst max|g - exact| and the largest max|exact|, with `exact`
-    an extended-precision sum taken just before each periodic refresh.
+    The first `swing` rows also switch back and forth at every step, as the
+    active set does at large r.  Returns the worst max|g - exact|, the largest
+    max|exact|, with `exact` an extended-precision sum taken just before each
+    periodic refresh, and the number of steps whose set was nearer to the one
+    two steps back than to the last one.
     """
     rng = np.random.default_rng(5)
     m, d = 400, 200
@@ -313,18 +316,22 @@ def _row_update_drift(flips):
     y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
     active = np.ones(m, dtype=bool)
     g = XF.T @ y
+    pairs = (g, active), (g.copy(), active)
     worst = scale = 0.0
+    older = 0
     for k in range(1, 5001):
         new = active.copy()
         rows = rng.choice(m, flips, replace=False)
         new[rows] = ~new[rows]
-        g = solvers._update_gradient(g, X, XF, y, active, new, k)
-        active = new
+        new[:swing] = ~new[:swing]
+        older += np.count_nonzero(new != pairs[1][1]) < np.count_nonzero(new != active)
+        pairs = solvers._update_gradient(pairs, X, XF, y, new, k)
+        (g, active), _ = pairs
         if (k + 1) % solvers._REFRESH == 0 or k == 5000:
             exact = X.astype(np.longdouble).T @ (y * active).astype(np.longdouble)
             worst = max(worst, float(np.abs(g - exact).max()))
             scale = max(scale, float(np.abs(exact).max()))
-    return worst, scale
+    return worst, scale, older
 
 
 def test_gradient_row_updates_stay_within_rounding():
@@ -335,15 +342,94 @@ def test_gradient_row_updates_stay_within_rounding():
     is about 5e-14 (a dense recomputation alone is off by about 3.5e-14);
     without the refresh the same sequence drifts to about 2e-13.
     """
-    worst, _ = _row_update_drift(3)
+    worst, _, _ = _row_update_drift(3)
     assert worst < 1e-13
 
 
 @pytest.mark.parametrize("flips", [100, 200, 350])
 def test_gradient_row_updates_stay_within_rounding_when_many_rows_flip(flips):
-    """Every step updates g by its changed rows, however many of the 400 changed."""
-    worst, scale = _row_update_drift(flips)
+    """Every step updates g by the rows that differ from the nearer of the last two sets.
+
+    With 100 of the 400 rows flipping the last set is nearer, with 200 the
+    two tie or nearly so, and with 350 the set two steps back is nearer
+    (about 90 rows against 350), so both bases are exercised.
+    """
+    worst, scale, _ = _row_update_drift(flips)
     assert worst < 1e-14 * scale
+
+
+def test_gradient_row_updates_stay_within_rounding_when_the_set_swings():
+    """200 rows switching back and forth and 3 random flips take the older base.
+
+    Each step is about 203 rows from the last set and about 6 from the one
+    two steps back, so every update but those just after a refresh starts
+    from the older pair: g follows two chains of every other iteration.  The
+    worst error is about 4.3e-14, as with 3 flips alone; if the refresh
+    restarted only its own chain, the other would drift to about 1.7e-13.
+    """
+    worst, scale, older = _row_update_drift(3, swing=200)
+    assert older > 4900
+    assert worst < 1e-14 * scale
+    assert worst < 1e-13
+
+
+def _two_pairs():
+    """Sets a1 (newer) and a0 (older) differing in rows 0-19 of 40, with their sums."""
+    rng = np.random.default_rng(11)
+    m, d = 40, 7
+    X = rng.standard_normal((m, d))
+    y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    a0 = rng.random(m) < 0.5
+    a1 = a0.copy()
+    a1[:20] = ~a1[:20]
+    g0, g1 = X.T @ (y * a0), X.T @ (y * a1)
+    return X, y, (g1, a1), (g0, a0)
+
+
+def _row_update(g, X, y, base, new):
+    ch = (new != base).nonzero()[0]
+    return g + X[ch].T @ np.where(new[ch], y[ch], -y[ch])
+
+
+def test_gradient_update_starts_from_the_nearer_set():
+    """The older set is nearer: its sum is updated in place, and the newer pair is kept."""
+    X, y, (g1, a1), (g0, a0) = _two_pairs()
+    new = a0.copy()
+    new[[30, 31]] = ~new[[30, 31]]  # 2 rows from a0, 22 from a1
+    want, g1_before = _row_update(g0, X, y, a0, new), g1.copy()
+    (g, active), newer = solvers._update_gradient(((g1, a1), (g0, a0)), X,
+                                                  np.asfortranarray(X), y, new, 5)
+    assert g is g0 and active is new
+    assert newer[0] is g1 and newer[1] is a1
+    assert np.array_equal(g, want)
+    assert np.array_equal(g1, g1_before)
+
+
+def test_gradient_update_tie_takes_the_newer_set():
+    """At equal distance the update is today's newer-base one, bit for bit."""
+    X, y, (g1, a1), (g0, a0) = _two_pairs()
+    new = a1.copy()
+    new[:10] = ~new[:10]  # 10 rows from each set
+    want = g1.copy()
+    want += X[:10].T @ np.where(new[:10], y[:10], -y[:10])
+    g1_before = g1.copy()
+    (g, _), newer = solvers._update_gradient(((g1, a1), (g0, a0)), X,
+                                             np.asfortranarray(X), y, new, 5)
+    assert g is g0 and newer[0] is g1
+    assert np.array_equal(g, want)
+    assert np.array_equal(g1, g1_before)
+
+
+def test_gradient_update_copies_when_no_row_changed_and_refreshes_both_pairs():
+    X, y, (g1, a1), (g0, a0) = _two_pairs()
+    XF = np.asfortranarray(X)
+    (g, _), _ = solvers._update_gradient(((g1, a1), (g0, a0)), X, XF, y, a1.copy(), 5)
+    assert g is g0 and np.array_equal(g, g1)
+    new = a0.copy()
+    (g, active), (h, h_active) = solvers._update_gradient(((g1, a1), (g0, a0)), X, XF, y,
+                                                          new, solvers._REFRESH)
+    assert g is not h and active is new and h_active is new
+    assert np.array_equal(g, XF.T @ (y * new)) and np.array_equal(h, g)
 
 
 def _overflowing_sum():
