@@ -2,17 +2,17 @@
 
 Each suite pits closed-form routines against an independent oracle and
 returns one CheckResult per comparison family: the expected hinge losses
-against Monte Carlo, the projections and the linear maximizer against an
-exhaustive grid, and the bound formulas against hand-derived identities.
+against Monte Carlo, the projections and the linear maximizer against the
+exact face-enumeration oracles, and the bound formulas against hand-derived
+identities.
 
-The lemma7 Monte Carlo estimates and the projections grid-oracle calls run on
-threads of the calling process, one per CPU, through `_thread_map`: no suite
-starts a child process, so a script may call any of them unguarded.
+The lemma7 Monte Carlo estimates run on threads of the calling process, one
+per CPU, through `_thread_map`; the other suites run in the caller's thread.
+No suite starts a child process, so a script may call any of them unguarded.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import ConstraintSet, max_linear_l1_l2, project_l1_l2
 from .model import RngSeed, as_generator
-from .oracles import angle_max_linear, grid_project
+from .oracles import face_max_linear, face_project
 from .sweeps import _workers
 from .theory import (OverlapCoords, _mc_buffers, _monte_carlo, _sample_count, expected_fa_a,
                      expected_fa_w, gaussian_max_norm_bounds, hinge_gaussian_integral,
@@ -66,8 +66,8 @@ def sample_overlap_tuples(n: int, seed: RngSeed = _SEED) -> list[OverlapCoords]:
 def _thread_map(fn, items) -> list:
     """[fn(item) for item in items] in order, on one thread per CPU of the process.
 
-    On one CPU they run in the caller's thread.  The suites spend their time in numpy calls
-    that release the GIL.  An exception reaches the caller unchanged.
+    On one CPU they run in the caller's thread.  lemma7_suite, its one caller, spends its
+    time in numpy calls that release the GIL.  An exception reaches the caller unchanged.
     """
     threads = min(_workers(), len(items))
     if threads < 2:
@@ -98,7 +98,7 @@ def lemma7_suite(n_tuples: int = 50, n_samples: int = 1_000_000) -> list[CheckRe
 
     estimates = _thread_map(estimate, range(n_tuples))
     # the buffers freed, the caller's thread's too: expected_fa_w loads scipy.special (about
-    # 19 MB), which then does not add to them at the peak RSS
+    # 24 MB), which then does not add to them at the peak RSS
     del local
     hits = 0
     worst = 0.0
@@ -141,21 +141,17 @@ def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
     rng = as_generator(_SEED)
     results = []
 
-    kinds = ("l1", "l1l2")
-    # every input drawn first, in the serial order: neither the projections nor the
-    # oracle reads rng, so the draws after this block see the same state
-    inputs = [(rng.standard_normal(2 + i % 2) * 2.0, float(rng.uniform(1.0, 2.0)), kind)
-              for kind in kinds for i in range(n_inputs)]
-    refs = zip(inputs, _thread_map(lambda task: grid_project(*task), inputs))
-    for kind in kinds:
+    for kind in ("l1", "l1l2"):
         worst_pt = 0.0
         worst_d2 = 0.0
-        for (v, R, _), w_ref in itertools.islice(refs, n_inputs):
-            w = ConstraintSet(kind, R).project(v)
+        for i in range(n_inputs):
+            v = rng.standard_normal(2 + i % 2) * 2.0
+            R = float(rng.uniform(1.0, 2.0))
+            w, w_ref = ConstraintSet(kind, R).project(v), face_project(v, R, kind)
             worst_pt = max(worst_pt, float(np.linalg.norm(w - w_ref)))
             worst_d2 = max(worst_d2, abs(float(((w - v) ** 2).sum() - ((w_ref - v) ** 2).sum())))
         results.append(CheckResult(
-            name=f"project_{kind} vs grid oracle",
+            name=f"project_{kind} vs face oracle",
             passed=worst_pt <= 2e-3 and worst_d2 <= 1e-6,
             detail=f"worst point gap {worst_pt:.2e} (<= 2e-3), "
                    f"worst sq-dist gap {worst_d2:.2e} (<= 1e-6)",
@@ -178,9 +174,9 @@ def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
         detail=f"max <v-P(v), z-P(v)> = {worst_vi:.2e} (<= 1e-8)",
     ))
 
-    # linear maximizer dominance and the d=2 angle oracle
+    # linear maximizer dominance and the d=2 face oracle
     worst_dom = -np.inf
-    worst_angle = 0.0
+    worst_face = 0.0
     for _ in range(10):
         d = int(rng.integers(2, 8))
         g = rng.standard_normal(d)
@@ -194,17 +190,17 @@ def projections_suite(n_inputs: int = 20) -> list[CheckResult]:
         g = rng.standard_normal(2)
         R = float(rng.uniform(1.0, 1.4))
         w = max_linear_l1_l2(g, R)
-        w_ref = angle_max_linear(g, R)
-        worst_angle = max(worst_angle, float(np.linalg.norm(w - w_ref)))
+        w_ref = face_max_linear(g, R)
+        worst_face = max(worst_face, float(np.linalg.norm(w - w_ref)))
     results.append(CheckResult(
         name="linear maximizer dominance",
         passed=worst_dom <= 1e-8,
         detail=f"max <g, z> - <g, w*> = {worst_dom:.2e} (<= 1e-8)",
     ))
     results.append(CheckResult(
-        name="linear maximizer vs angle oracle",
-        passed=worst_angle <= 1e-4,
-        detail=f"worst point gap {worst_angle:.2e} (<= 1e-4)",
+        name="linear maximizer vs face oracle",
+        passed=worst_face <= 1e-4,
+        detail=f"worst point gap {worst_face:.2e} (<= 1e-4)",
     ))
     return results
 

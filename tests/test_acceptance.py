@@ -25,7 +25,7 @@ from l1svm import (
 )
 from l1svm.checks import lemma7_suite, projections_suite, thm2_suite
 from l1svm.model import TrainingSet
-from l1svm.oracles import angle_max_linear
+from l1svm.oracles import face_max_linear
 from l1svm.sweeps import SweepSpec, default_m_sweep_spec, run_sweep
 
 SEED = RngSeed(314159)
@@ -71,8 +71,11 @@ def test_criterion_03_loss_gap_bound_soundness(announce):
 
 def test_criterion_04_projection_oracle_equivalence(announce):
     t0 = time.perf_counter()
-    results = [r for r in projections_suite() if "grid oracle" in r.name]
+    names = ["project_l1 vs face oracle", "project_l1l2 vs face oracle"]
+    results = [r for r in projections_suite() if r.name in names]
     elapsed = time.perf_counter() - t0
+    # exactly one comparison per kind, so a renamed check cannot pass on none
+    assert [r.name for r in results] == names
     ok = all(r.passed for r in results)
     detail = "; ".join(f"{r.name}: {r.detail}" for r in results)
     announce(4, ok and elapsed < 60, detail, elapsed, 60)
@@ -109,7 +112,7 @@ def test_criterion_06_sign_baseline_matches_angle_oracle(announce):
         a = make_random_classifier(2, 1, gen)
         T = generate_training_set(a, 30, 1.5, gen)
         res = solve_one_bit_cs(T, 1.3)
-        w_ref = angle_max_linear(T.y @ T.X, 1.3)
+        w_ref = face_max_linear(T.y @ T.X, 1.3)
         worst_gap = max(worst_gap, float(np.linalg.norm(res.w_hat - w_ref)))
         scaled = solve_one_bit_cs(TrainingSet(X=10.0 * T.X, y=T.y), 1.3)
         worst_rescale = max(worst_rescale,

@@ -27,34 +27,6 @@ def no_pool(monkeypatch):
     assert sorted(p.pid for p in multiprocessing.active_children()) == before
 
 
-class TestProjectionsThreads:
-    """The projections grid-oracle calls run on threads of the calling process, one per CPU."""
-
-    def test_results_identical_on_one_and_two_threads(self, workers, no_pool):
-        workers(1)
-        one = checks.projections_suite(n_inputs=4)
-        workers(2)
-        two = checks.projections_suite(n_inputs=4)
-        assert two == one
-        assert all(res.passed for res in two)
-
-    def test_unguarded_script_runs_in_one_process(self, tmp_path):
-        # a spawned pool would import this script again in each worker, without a guard
-        script = tmp_path / "unguarded.py"
-        script.write_text("import multiprocessing, resource\n"
-                          "from l1svm import checks, sweeps\n"
-                          "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
-                          "checks._workers = sweeps._workers = lambda: 2\n"
-                          "results = checks.run_suite('projections')\n"
-                          "print(all(res.passed for res in results), "
-                          "multiprocessing.active_children(), "
-                          "resource.getrusage(resource.RUSAGE_CHILDREN) == children)\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                             env=env, timeout=120)
-        assert (out.returncode, out.stdout, out.stderr) == (0, "True [] True\n", "")
-
-
 class TestLemma7Threads:
     """The Monte Carlo estimates run on threads of the calling process, one per CPU."""
 
@@ -65,6 +37,22 @@ class TestLemma7Threads:
         two = checks.lemma7_suite(n_tuples=5, n_samples=1000)
         assert two == one
         assert all(res.passed for res in two)
+
+    def test_unguarded_script_runs_in_one_process(self, tmp_path):
+        # a spawned pool would import this script again in each worker, without a guard
+        script = tmp_path / "unguarded.py"
+        script.write_text("import multiprocessing, resource\n"
+                          "from l1svm import checks, sweeps\n"
+                          "children = resource.getrusage(resource.RUSAGE_CHILDREN)\n"
+                          "checks._workers = sweeps._workers = lambda: 2\n"
+                          "results = checks.run_suite('lemma7')\n"
+                          "print(all(res.passed for res in results), "
+                          "multiprocessing.active_children(), "
+                          "resource.getrusage(resource.RUSAGE_CHILDREN) == children)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert (out.returncode, out.stdout, out.stderr) == (0, "True [] True\n", "")
 
     def test_more_threads_than_cpus_lose_no_estimate(self, workers, no_pool):
         # five threads, more than the CPUs, on a short switch interval

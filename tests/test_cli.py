@@ -480,3 +480,19 @@ def test_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env=env)
     assert out.stdout == "False []\n"
+
+
+def test_solve_and_projections_check_leave_out_scipy(tmp_path, capsys):
+    # each solve method and the projections suite, in one fresh process, load only numpy
+    data = tmp_path / "train.csv"
+    assert run(gen_args(data, d=10, s=2, m=12, r=2.0), capsys)[0] == 0
+    code = ("import sys\nfrom l1svm import cli\n"
+            "for method in ('l1', 'l1l2', 'onebit'):\n"
+            f"    assert cli.main(['solve', '--method', method, '--data', {str(data)!r}, "
+            "'--R', '1.4']) == 0\n"
+            "assert cli.main(['check', '--suite', 'projections']) == 0\n"
+            "print([k for k in sys.modules if k.startswith('scipy')])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -1,15 +1,13 @@
 import math
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from l1svm import ConstraintSet, max_linear_l1_l2, oracles, project_l1, project_l1_l2, project_l2
+from l1svm import ConstraintSet, max_linear_l1_l2, project_l1, project_l1_l2, project_l2
 from l1svm.geometry import _HEAD, _sorted_depth
-from l1svm.oracles import angle_max_linear, grid_project
+from l1svm.oracles import face_max_linear, face_project
 
 
 def _feasible_point(rng, d, R):
@@ -77,7 +75,7 @@ class TestProjectL1:
         v = rng.standard_normal(d) * 2.0
         R = float(rng.uniform(1.0, 2.0))
         w = project_l1(v, R)
-        ref = grid_project(v, R, kind="l1")
+        ref = face_project(v, R, kind="l1")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(((w - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
 
@@ -92,50 +90,36 @@ class TestProjectL1:
             assert np.linalg.norm(w1 - w2) <= np.linalg.norm(v1 - v2) + 1e-10
 
 
-def _one_argmin(U, v, R, kind):
-    """grid_project's boundary search over all rows at once: the reference for its blocks."""
-    t = R / np.abs(U).sum(axis=1)
-    if kind == "l1l2":
-        t = np.minimum(t, 1.0 / np.sqrt((U * U).sum(axis=1)))
-    B = U * t[:, None]
-    i = int(np.argmin(((B - v) ** 2).sum(axis=1)))
-    return B[i], U[i]
+class TestFaceOracles:
+    """project_l1, project_l1_l2 and max_linear_l1_l2 agree with the face-enumeration oracles
+    at every dimension the oracles support."""
 
-
-class TestGridOracle:
     @pytest.mark.parametrize("kind", ["l1", "l1l2"])
-    def test_block_search_matches_one_argmin_on_the_lattice(self, kind):
-        v = np.random.default_rng(8).standard_normal(3) * 2.0
-        U = oracles._directions(3)
-        assert len(U) > oracles._CHUNK
-        got, want = oracles._nearest_boundary(U, v, 1.5, kind), _one_argmin(U, v, 1.5, kind)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_projection_matches(self, d, kind):
+        rng = np.random.default_rng(900 + 10 * d + (kind == "l1l2"))
+        project = project_l1 if kind == "l1" else project_l1_l2
+        for _ in range(40):
+            v = rng.standard_normal(d) * float(rng.choice([0.5, 2.0, 5.0]))
+            R = float(rng.uniform(0.5, 3.0) if kind == "l1" else rng.uniform(1.0, np.sqrt(d)))
+            assert np.linalg.norm(project(v, R) - face_project(v, R, kind)) <= 1e-12
 
-    @pytest.mark.parametrize("first", [0.3, -0.3])
-    def test_first_minimum_wins_across_blocks(self, first, monkeypatch):
-        """Mirror-image rays about v tie exactly; the earlier one is kept, as by one argmin."""
-        monkeypatch.setattr(oracles, "_CHUNK", 2)
-        U = np.array([[0.0, 1.0], [1.0, first], [0.0, -1.0], [1.0, -first]])
-        v = np.array([2.0, 0.0])
-        best, u = oracles._nearest_boundary(U, v, 1.0, "l1")
-        assert u.tolist() == [1.0, first]
-        assert np.array_equal(best, _one_argmin(U, v, 1.0, "l1")[0])
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_maximizer_matches(self, d):
+        rng = np.random.default_rng(960 + d)
+        for _ in range(40):
+            g = rng.standard_normal(d) * float(rng.choice([0.5, 2.0, 5.0]))
+            R = float(rng.uniform(1.0, np.sqrt(d)))
+            assert np.linalg.norm(max_linear_l1_l2(g, R) - face_max_linear(g, R)) <= 1e-10
 
-    def test_non_finite_point_rejected(self):
-        with pytest.raises(ValueError, match="^grid oracle needs a finite point$"):
-            grid_project(np.array([np.nan, 1.0, 1.0]), 1.5)
-
-    def test_directions_built_once_across_threads(self, monkeypatch):
-        monkeypatch.setattr(oracles, "_DIRECTIONS", {})
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as ex:
-                got = list(ex.map(oracles._directions, [3] * 8, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(U is got[0] for U in got)
-        assert got[0].shape == (700_000, 3) and not got[0].flags.writeable
+    @pytest.mark.parametrize("oracle", [face_project, face_max_linear])
+    def test_refusals(self, oracle):
+        with pytest.raises(ValueError, match=r"^face oracles support d = 2\.\.6, got shape \(7,\)$"):
+            oracle(np.ones(7), 1.5)
+        with pytest.raises(ValueError, match="^face oracles need a finite point$"):
+            oracle(np.array([np.nan, 1.0, 1.0]), 1.5)
+        with pytest.raises(ValueError, match="^radius must be positive and finite, got 0.0$"):
+            oracle(np.ones(3), 0.0)
 
 
 class TestProjectL1L2:
@@ -153,7 +137,7 @@ class TestProjectL1L2:
         # by symmetry the projection of (2,2) is (t,t) with the l1 bound tight
         res = project_l1_l2(np.array([2.0, 2.0]), 1.2)
         assert_allclose(res, [0.6, 0.6], atol=1e-9)
-        ref = grid_project(np.array([2.0, 2.0]), 1.2, kind="l1l2")
+        ref = face_project(np.array([2.0, 2.0]), 1.2, kind="l1l2")
         assert np.linalg.norm(res - ref) < 2e-3
 
     @pytest.mark.parametrize("trial", range(6))
@@ -163,7 +147,7 @@ class TestProjectL1L2:
         v = rng.standard_normal(d) * 2.0
         R = float(rng.uniform(1.0, 2.0))
         w = project_l1_l2(v, R)
-        ref = grid_project(v, R, kind="l1l2")
+        ref = face_project(v, R, kind="l1l2")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(((w - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
 
@@ -201,13 +185,13 @@ class TestProjectL1L2:
         res = project_l1_l2(v, 1.2)
         assert abs(np.abs(res).sum() - 1.2) <= 1e-12 * 1.2
         assert abs(np.linalg.norm(res) - 1.0) <= 1e-12
-        ref = grid_project(v, 1.2, kind="l1l2")
+        ref = face_project(v, 1.2, kind="l1l2")
         assert np.linalg.norm(res - ref) < 2e-3
         assert abs(((res - v) ** 2).sum() - ((ref - v) ** 2).sum()) < 1e-6
 
     def test_dykstra_path_matches_oracle(self):
         w = project_l1_l2(np.array([3.0, 1.5]), 1.2)
-        ref = grid_project(np.array([3.0, 1.5]), 1.2, kind="l1l2")
+        ref = face_project(np.array([3.0, 1.5]), 1.2, kind="l1l2")
         assert np.linalg.norm(w - ref) < 2e-3
         assert abs(np.abs(w).sum() - 1.2) < 1e-8  # both constraints tight here
         assert abs(np.linalg.norm(w) - 1.0) < 1e-8
@@ -702,7 +686,7 @@ class TestMaxLinear:
         g = rng.standard_normal(2)
         R = float(rng.uniform(1.0, 1.4))
         w = max_linear_l1_l2(g, R)
-        ref = angle_max_linear(g, R)
+        ref = face_max_linear(g, R)
         assert np.linalg.norm(w - ref) < 1e-4
 
 

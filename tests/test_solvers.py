@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import l1svm as L
 from l1svm import geometry, solvers
 from l1svm.geometry import project_l1, project_l1_l2
-from l1svm.oracles import angle_max_linear
+from l1svm.oracles import face_max_linear
 
 _HINGE_STEP = 1e-3  # _grid_min_hinge's spacing along each axis
 
@@ -468,7 +468,7 @@ class TestOneBit:
         T = L.TrainingSet(X=X, y=y)
         R = 1.2
         w = L.solve_one_bit_cs(T, R).w_hat
-        ref = angle_max_linear(X.T @ y, R)
+        ref = face_max_linear(X.T @ y, R)
         assert np.linalg.norm(w - ref) < 1e-4
 
     def test_zero_gradient_rejected(self):
