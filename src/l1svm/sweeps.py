@@ -51,6 +51,7 @@ __all__ = [
     "emit_bound_overlay",
     "write_sweep_rows",
     "SWEEP_HEADER",
+    "cpu_count",
 ]
 
 METHODS = tuple(SOLVERS)
@@ -237,8 +238,8 @@ def _trial(cell: _Cell, base: int, trial: int, cfg: SolverConfig) -> tuple[float
     return a.l1_norm, solves
 
 
-def _workers() -> int:
-    """The number of CPUs this process may run on."""
+def cpu_count() -> int:
+    """The number of CPUs this process may run on: the sweep pool's size, and lemma7's."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -320,7 +321,7 @@ def _map(fn, tasks: list) -> list:
     caller has at this call.  A task's exception reaches the caller with its
     own type, once the call's tasks that have not started are cancelled.
     """
-    workers = _workers()
+    workers = cpu_count()
     if min(workers, len(tasks)) < 2:
         return [fn(*task) for task in tasks]
     from concurrent.futures.process import BrokenProcessPool

@@ -15,6 +15,7 @@ that a command that never evaluates them does not load scipy.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ __all__ = [
     "thm3_failure_prob",
     "thm8_bound",
     "monte_carlo_fa",
+    "monte_carlo_estimator",
     "gaussian_max_norm_bounds",
     "bound_report",
     "write_bound_reports",
@@ -237,13 +239,8 @@ _BLOCK = 1_000_000  # samples per block: its sum and its sum of squares are one 
 _PART = 16_384  # samples per part of a block: t2 and the part's values stay in cache
 
 
-def _mc_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The t1 block and the part buffer of `_monte_carlo` for n samples."""
-    return np.empty(min(n, _BLOCK)), np.empty(min(n, _PART))
-
-
 def _monte_carlo(o: OverlapCoords, n: int, rng, block, part) -> tuple[float, float]:
-    """monte_carlo_fa's estimate from the generator rng, in the buffers of `_mc_buffers(n)`.
+    """monte_carlo_fa's estimate from the generator rng, in a t1 block and a part buffer.
 
     Per block the stream holds all of its t1 draws, then all of its t2 draws.  So t1
     fills the block first, and t2 is drawn into `part` a part at a time and combined
@@ -272,13 +269,30 @@ def _monte_carlo(o: OverlapCoords, n: int, rng, block, part) -> tuple[float, flo
     return mean, math.sqrt(var / n)
 
 
+def monte_carlo_estimator(n_samples: int):
+    """`monte_carlo_fa` at one sample count, checked here once: (o, seed) -> (mean, se).
+
+    Each thread allocates its sample buffers on its first call and reuses them; they are
+    freed with the function.  It does not call monte_carlo_fa, so a runtime wrapper of
+    that name sees no call from the threads.
+    """
+    n = _sample_count(n_samples)
+    local = threading.local()
+
+    def estimate(o: OverlapCoords, seed) -> tuple[float, float]:
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty(min(n, _BLOCK)), np.empty(min(n, _PART))
+        return _monte_carlo(o, n, as_generator(seed), *local.buffers)
+
+    return estimate
+
+
 def monte_carlo_fa(o: OverlapCoords, n_samples: int, seed) -> tuple[float, float]:
     """Sample mean and standard error of [1 - c r |t1| - c_prime r t2]_+.
 
     n_samples is a whole number >= 1000; a whole float such as 2e6 counts as its integer.
     """
-    n = _sample_count(n_samples)
-    return _monte_carlo(o, n, as_generator(seed), *_mc_buffers(n))
+    return monte_carlo_estimator(n_samples)(o, seed)
 
 
 def gaussian_max_norm_bounds(d: int) -> tuple[float, float]:

@@ -117,10 +117,10 @@ def test_criterion_06_sign_baseline_matches_angle_oracle(announce):
         scaled = solve_one_bit_cs(TrainingSet(X=10.0 * T.X, y=T.y), 1.3)
         worst_rescale = max(worst_rescale,
                             float(np.abs(scaled.w_hat - res.w_hat).max()))
-    ok = worst_gap <= 1e-4 and worst_rescale <= 1e-12
+    ok = worst_gap <= 1e-10 and worst_rescale <= 1e-12
     elapsed = time.perf_counter() - t0
     announce(6, ok and elapsed < 10,
-             f"worst oracle gap {worst_gap:.2e} (<= 1e-4), "
+             f"worst oracle gap {worst_gap:.2e} (<= 1e-10), "
              f"worst rescale drift {worst_rescale:.2e}", elapsed, 10)
     assert ok
     assert elapsed < 10

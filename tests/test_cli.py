@@ -397,7 +397,7 @@ class TestCheckCommand:
         def refuse(workers):
             raise AssertionError("lemma7 started the process pool")
         monkeypatch.setattr(sweeps, "_executor", refuse)
-        monkeypatch.setattr(checks, "_workers", lambda: 2)
+        monkeypatch.setattr(checks, "cpu_count", lambda: 2)
         monkeypatch.setitem(checks.SUITES, "lemma7",
                             functools.partial(checks.lemma7_suite, n_tuples=2, n_samples=n))
         children = sorted(p.pid for p in multiprocessing.active_children())

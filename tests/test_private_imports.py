@@ -1,18 +1,9 @@
-"""No l1svm module imports another's private names, apart from a list that may only shrink,
-and only `sweeps` starts processes."""
+"""No l1svm module imports another's private names, and only `sweeps` starts processes."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "l1svm"
-
-# (importing module, private name); remove an entry once its import goes, and add none
-ALLOWED = {
-    ("checks", "_workers"),
-    ("checks", "_mc_buffers"),
-    ("checks", "_monte_carlo"),
-    ("checks", "_sample_count"),
-}
 
 
 def _private_imports():
@@ -30,11 +21,7 @@ def _private_imports():
 
 
 def test_no_private_name_crosses_modules():
-    assert _private_imports() - ALLOWED == set()
-
-
-def test_allow_list_has_no_stale_entry():
-    assert ALLOWED - _private_imports() == set()
+    assert _private_imports() == set()
 
 
 def _process_imports():

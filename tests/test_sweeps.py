@@ -248,7 +248,7 @@ class TestSharedTrainingSet:
     @staticmethod
     def drawn_in_process(monkeypatch) -> list:
         """The (m, r) of every training set drawn, in the order the tasks run."""
-        monkeypatch.setattr(sweeps, "_workers", lambda: 1)
+        monkeypatch.setattr(sweeps, "cpu_count", lambda: 1)
         drawn = []
 
         def counting(a, m, r, gen):
@@ -276,7 +276,7 @@ class TestSharedTrainingSet:
         assert [row.m for row in rows] == [4] * 4 + [8] * 4
 
     def test_trial_returns_the_norm_once_and_a_record_per_method(self, monkeypatch):
-        monkeypatch.setattr(sweeps, "_workers", lambda: 1)
+        monkeypatch.setattr(sweeps, "cpu_count", lambda: 1)
         spec = tiny_r_spec(grid=(0.5,), trials=1)
         cell = sweeps._cells(spec)[0]
         norm, solves = sweeps._trial(cell, spec.seed.base, 0, SolverConfig(max_iters=60))
@@ -445,11 +445,11 @@ class TestGoldenOutput:
 
 
 class TestWorkerPool:
-    """Trials run on one spawned worker per CPU; `_workers` is patched to pick the path."""
+    """Trials run on one spawned worker per CPU; `cpu_count` is patched to pick the path."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
-        return lambda n: monkeypatch.setattr(sweeps, "_workers", lambda: n)
+        return lambda n: monkeypatch.setattr(sweeps, "cpu_count", lambda: n)
 
     @pytest.mark.parametrize("kind", ["r", "m", "d"])
     def test_rows_identical_in_process_and_pooled(self, kind, workers, pool_workers, tmp_path):
@@ -536,7 +536,7 @@ class TestWorkerPool:
         # a script that makes a pooled call and exits without closing anything
         code = ("import multiprocessing, os\n"
                 "from l1svm import sweeps\n"
-                "sweeps._workers = lambda: 2\n"
+                "sweeps.cpu_count = lambda: 2\n"
                 "sweeps._map(os.getpid, [()] * 4)\n"
                 "print(*sorted(p.pid for p in multiprocessing.active_children()))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
@@ -555,7 +555,7 @@ class TestWorkerPool:
         code = ("import sys\n"
                 "from l1svm import sweeps\n"
                 "sys.held_module = sweeps\n"
-                "sweeps._workers = lambda: 2\n"
+                "sweeps.cpu_count = lambda: 2\n"
                 "print(sweeps._map(abs, [(-1,), (-2,)]))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
